@@ -13,11 +13,12 @@
 ///
 /// `Orchestrator` turns "one process runs a grid" into a driver/worker
 /// architecture: it plans the (point x trial) rectangle into `WorkUnit`s
-/// (`work_plan.hpp`), schedules them over a `util::ProcessPool` of worker
-/// processes — each worker is typically this very binary re-invoked with the
-/// unit's rectangle on its command line — collects the per-unit shard CSVs,
-/// retries failed workers within a bounded budget, and merges the shards
-/// into a result bit-identical to a single-process run (`merge_shards`).
+/// (`work_plan.hpp`), runs them as jobs on a `util::WorkerPool` — local
+/// worker processes by default, each typically this very binary re-invoked
+/// with the unit's rectangle on its command line — collects the per-unit
+/// shard CSVs, and merges them into a result bit-identical to a
+/// single-process run (`merge_shards`).  Retry budgets and deadlines are
+/// the pool's shared scheduler's (util/worker_pool.hpp).
 ///
 /// Every run keeps an on-disk ledger (`ShardManifest`) in the scratch
 /// directory: unit rectangles, seed/stream provenance, attempt counts and
@@ -59,9 +60,9 @@ struct OrchestratorOptions {
   /// Where the units execute.  Null = an internal `util::ProcessPool` of
   /// `workers` local processes (the classic `--orchestrate` path).  A
   /// borrowed pool — e.g. `util::RemotePool` driving a TCP worker fleet —
-  /// swaps the execution substrate without the orchestrator noticing:
-  /// manifest, retry accounting, shard validation, and the merge are
-  /// identical either way.  Not owned.
+  /// swaps only the launcher under the same scheduler: manifest, retry
+  /// accounting, shard validation, and the merge are identical either way.
+  /// Not owned.
   util::WorkerPool* pool = nullptr;
   /// Live progress sink (one human-readable line per lifecycle event);
   /// empty = silent.

@@ -5,14 +5,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MINIM_HAVE_POSIX_FLEET 1
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -29,352 +27,199 @@ namespace minim::util {
 
 namespace {
 
-using clock = std::chrono::steady_clock;
+using Clock = WorkerLauncher::Clock;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
 }
 
-double seconds_since(clock::time_point start) {
-  return std::chrono::duration<double>(clock::now() - start).count();
-}
+/// One dispatched copy awaiting its RESULT (zombies included: an overrun
+/// copy keeps its agent's slot until the agent answers).
+struct Flight {
+  std::size_t copy = 0;
+  std::size_t job = 0;  ///< job index, the id that travels on the wire
+  const WorkerJob* spec = nullptr;
+  Clock::time_point start;
+};
 
-/// One connected worker agent.
+/// One connected worker agent; its slot number is its join order.
 struct Agent {
   int fd = -1;
   std::string name;
   std::uint32_t capacity = 1;
-  std::size_t busy = 0;  ///< dispatched copies awaiting a RESULT
   bool alive = true;
+  std::vector<Flight> flights;
   std::size_t completed = 0;
   double busy_s = 0.0;
 };
 
-/// One dispatched copy of a job (a job has >1 during speculation).
-struct Copy {
-  std::size_t agent = 0;  ///< index into the agents vector
-  clock::time_point start;
-};
-
-struct JobState {
-  std::vector<Copy> copies;  ///< live copies only
-  std::size_t attempts = 0;  ///< charged dispatches (speculation is free)
-  bool done = false;
-  bool queued = false;  ///< sitting in the pending deque right now
-};
-
-}  // namespace
-
-RemotePool::RemotePool(RemotePoolOptions options)
-    : options_(std::move(options)) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("fleet: socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_ANY);  // agents may be remote hosts
-  address.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
-             sizeof address) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw_errno("fleet: bind");
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw_errno("fleet: listen");
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof bound;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw_errno("fleet: getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
-}
-
-RemotePool::~RemotePool() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-std::vector<WorkerOutcome> RemotePool::run_jobs(
-    const std::vector<WorkerJob>& jobs, const Observer& observer) {
-  stats_ = Stats{};
-  std::vector<WorkerOutcome> outcomes(jobs.size());
-  if (jobs.empty()) return outcomes;
-
-  auto say = [this](const std::string& line) {
-    if (options_.log) options_.log(line);
-  };
-  auto notify = [&observer](WorkerPoolEvent event) {
-    if (observer) observer(event);
-  };
-
-  // ------------------------------------------------- self-spawned agents
-  std::vector<pid_t> spawned;
-  if (options_.self_spawn > 0) {
+/// The TCP launcher: HELLO/accept, capacity-weighted slot choice, and the
+/// RESULT bytes of each winning copy written to `out_path` by tmp+rename.
+/// A lost agent fails its copies; an abandoned copy stays in flight as a
+/// zombie whose late success may still win.
+class TcpLauncher final : public WorkerLauncher {
+ public:
+  TcpLauncher(const RemotePoolOptions& options, int listen_fd,
+              std::uint16_t port, RemotePool::Stats& stats,
+              const WorkerPool::Observer& observer)
+      : options_(options),
+        listen_fd_(listen_fd),
+        stats_(stats),
+        observer_(observer) {
+    if (options_.self_spawn == 0) return;
     const std::string self = self_exe_path();
     if (self.empty())
       throw std::runtime_error("fleet: cannot self-spawn agents without "
                                "self_exe_path()");
     std::filesystem::create_directories(options_.scratch_dir);
     for (std::size_t i = 0; i < options_.self_spawn; ++i) {
-      std::vector<std::string> args;
-      args.push_back(self);
-      args.push_back("--worker-agent=127.0.0.1:" + std::to_string(port_));
-      args.push_back("--capacity=" + std::to_string(options_.agent_capacity));
-      args.push_back("--agent-scratch=" + options_.scratch_dir + "/agent_" +
-                     std::to_string(i));
-      for (const std::string& arg : options_.agent_extra_args)
-        args.push_back(arg);
+      const std::string stem = options_.scratch_dir + "/agent_" + std::to_string(i);
+      std::vector<std::string> args{
+          self, "--worker-agent=127.0.0.1:" + std::to_string(port),
+          "--capacity=" + std::to_string(options_.agent_capacity),
+          "--agent-scratch=" + stem};
+      args.insert(args.end(), options_.agent_extra_args.begin(),
+                  options_.agent_extra_args.end());
       if (i == 0)
-        for (const std::string& arg : options_.first_agent_extra_args)
-          args.push_back(arg);
-
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (const std::string& arg : args)
-        argv.push_back(const_cast<char*>(arg.c_str()));
-      argv.push_back(nullptr);
-      const std::string log_path =
-          options_.scratch_dir + "/agent_" + std::to_string(i) + ".log";
-
-      const pid_t pid = ::fork();
-      if (pid == 0) {
-        const int fd =
-            ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (fd >= 0) {
-          ::dup2(fd, STDOUT_FILENO);
-          ::dup2(fd, STDERR_FILENO);
-          if (fd > STDERR_FILENO) ::close(fd);
-        }
-        ::execv(argv[0], argv.data());
-        ::_exit(127);
-      }
+        args.insert(args.end(), options_.first_agent_extra_args.begin(),
+                    options_.first_agent_extra_args.end());
+      const int pid = spawn_process(args, stem + ".log");
       if (pid < 0) throw_errno("fleet: fork agent");
-      spawned.push_back(pid);
+      spawned_.push_back(pid);
     }
-    say("fleet: spawned " + std::to_string(spawned.size()) +
-        " loopback agent(s) on port " + std::to_string(port_));
+    say("fleet: spawned " + std::to_string(spawned_.size()) +
+        " loopback agent(s) on port " + std::to_string(port));
   }
 
-  // ---------------------------------------------------------- loop state
-  std::vector<Agent> agents;
-  std::vector<JobState> states(jobs.size());
-  std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pending.push_back(i);
-    states[i].queued = true;
-  }
-  std::size_t unfinished = jobs.size();
-  StragglerTracker tracker(options_.straggler_factor, options_.straggler_min_s,
-                           options_.straggler_min_samples);
-  clock::time_point last_activity = clock::now();
-
-  auto alive_agents = [&agents] {
-    std::size_t count = 0;
-    for (const Agent& agent : agents) count += agent.alive ? 1u : 0u;
-    return count;
-  };
-
-  // Finalize a job (success or exhausted retries).
-  auto finish = [&](std::size_t index, WorkerOutcome outcome) {
-    outcomes[index] = std::move(outcome);
-    states[index].done = true;
-    --unfinished;
-    WorkerPoolEvent event;
-    event.kind = WorkerPoolEvent::Kind::kFinish;
-    event.index = index;
-    event.attempt = outcomes[index].attempts;
-    event.wall_s = outcomes[index].wall_s;
-    event.outcome = &outcomes[index];
-    event.detail = outcomes[index].executor;
-    notify(event);
-  };
-
-  // A copy of `index` ended in failure (bad result / lost agent / timeout):
-  // requeue when the retry budget allows and no sibling copy is still live,
-  // otherwise finalize as failed.
-  auto requeue_or_fail = [&](std::size_t index, double wall_s, int exit_code,
-                             bool timed_out, const std::string& who) {
-    JobState& state = states[index];
-    if (state.done || state.queued || !state.copies.empty()) return;
-    WorkerOutcome partial;
-    partial.ok = false;
-    partial.attempts = state.attempts;
-    partial.wall_s = wall_s;
-    partial.timed_out = timed_out;
-    partial.exit_code = exit_code;
-    partial.executor = who;
-    if (state.attempts < jobs[index].max_attempts) {
-      outcomes[index] = partial;
-      WorkerPoolEvent event;
-      event.kind = WorkerPoolEvent::Kind::kRetry;
-      event.index = index;
-      event.attempt = state.attempts;
-      event.wall_s = wall_s;
-      event.outcome = &outcomes[index];
-      event.detail = who;
-      notify(event);
-      pending.push_back(index);
-      state.queued = true;
-    } else {
-      finish(index, std::move(partial));
-    }
-  };
-
-  auto lose_agent = [&](std::size_t agent_index, const char* why) {
-    Agent& agent = agents[agent_index];
-    if (!agent.alive) return;
-    agent.alive = false;
-    ::close(agent.fd);
-    agent.fd = -1;
-    agent.busy = 0;
-    ++stats_.agents_lost;
-    say("fleet: agent " + agent.name + " lost (" + why + ")");
-    WorkerPoolEvent event;
-    event.kind = WorkerPoolEvent::Kind::kAgentLost;
-    event.detail = agent.name;
-    notify(event);
-    // Return the agent's in-flight copies to the queue.  The dispatch
-    // already charged the attempt, so a unit that keeps killing agents
-    // burns through its budget rather than looping forever.
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      JobState& state = states[i];
-      if (state.done) continue;
-      auto gone = std::remove_if(
-          state.copies.begin(), state.copies.end(),
-          [agent_index](const Copy& copy) { return copy.agent == agent_index; });
-      if (gone == state.copies.end()) continue;
-      state.copies.erase(gone, state.copies.end());
-      requeue_or_fail(i, 0.0, -1, false, agent.name);
-    }
-  };
-
-  // Dispatch one copy of `index` to `agent_index`.  Speculative copies do
-  // not charge the retry budget.  Returns false when the send failed (the
-  // agent is then already marked lost and the job requeued).
-  auto dispatch = [&](std::size_t index, std::size_t agent_index,
-                      bool speculative) {
-    Agent& agent = agents[agent_index];
-    JobState& state = states[index];
-    JobRequest request;
-    request.job = index;
-    // args[0] is the driver-side program path; the agent substitutes its
-    // own binary (same build), so only the tail travels.
-    request.args.assign(jobs[index].args.begin() + 1, jobs[index].args.end());
-    if (!speculative) ++state.attempts;
-    if (!send_frame(agent.fd, RpcType::kJob, encode_job(request))) {
-      if (!speculative) {
-        // The job came off the queue but never left the building.
-        --state.attempts;
-        pending.push_front(index);
-        state.queued = true;
+  ~TcpLauncher() override {
+    for (Agent& agent : agents_) {
+      if (agent.alive) {
+        send_frame(agent.fd, RpcType::kShutdown, {});
+        ::close(agent.fd);
       }
-      lose_agent(agent_index, "send failed");
-      return false;
+      stats_.agent_names.push_back(agent.name);
+      stats_.agent_completed.push_back(agent.completed);
+      stats_.agent_busy_s.push_back(agent.busy_s);
     }
-    state.copies.push_back(Copy{agent_index, clock::now()});
-    ++agent.busy;
-    WorkerPoolEvent event;
-    event.kind = speculative ? WorkerPoolEvent::Kind::kRedispatch
-                             : WorkerPoolEvent::Kind::kStart;
-    event.index = index;
-    event.attempt = state.attempts;
-    event.detail = agent.name;
-    notify(event);
-    if (speculative) {
-      ++stats_.redispatched;
-      say("fleet: speculative re-dispatch of unit " + std::to_string(index) +
-          " to " + agent.name);
-    }
-    return true;
-  };
+    for (const int pid : spawned_) ::waitpid(pid, nullptr, 0);
+  }
 
-  // The agent (alive, with a free slot) best placed to take one more job:
-  // most free slots first, join order as the deterministic tie-break.
-  auto best_agent = [&]() -> std::size_t {
-    std::size_t best = agents.size();
+  /// Most free slots first, join order as the deterministic tie-break.  An
+  /// agent still holding a copy of the job is skipped: RESULTs name only
+  /// the job, so two copies there could not be told apart.
+  std::size_t free_slot(std::size_t index) override {
+    std::size_t best = kNoSlot;
     std::size_t best_free = 0;
-    for (std::size_t i = 0; i < agents.size(); ++i) {
-      const Agent& agent = agents[i];
-      if (!agent.alive || agent.busy >= agent.capacity) continue;
-      const std::size_t free = agent.capacity - agent.busy;
+    for (std::size_t i = 0; i < agents_.size(); ++i) {
+      const Agent& agent = agents_[i];
+      if (!agent.alive || agent.flights.size() >= agent.capacity ||
+          std::any_of(agent.flights.begin(), agent.flights.end(),
+                      [index](const Flight& f) { return f.job == index; }))
+        continue;
+      const std::size_t free = agent.capacity - agent.flights.size();
       if (free > best_free) {
         best = i;
         best_free = free;
       }
     }
     return best;
-  };
+  }
 
-  auto handle_result = [&](std::size_t agent_index, const JobResult& result) {
-    Agent& agent = agents[agent_index];
-    if (agent.busy > 0) --agent.busy;
-    last_activity = clock::now();
-    if (result.job >= jobs.size()) return;  // corrupt index: drop
-    const auto index = static_cast<std::size_t>(result.job);
-    JobState& state = states[index];
+  std::string executor(std::size_t slot) const override {
+    return agents_[slot].name;
+  }
 
-    // Detach this agent's copy (it may be absent for a timed-out zombie).
-    double wall_s = 0.0;
-    auto copy = std::find_if(
-        state.copies.begin(), state.copies.end(),
-        [agent_index](const Copy& c) { return c.agent == agent_index; });
-    if (copy != state.copies.end()) {
-      wall_s = seconds_since(copy->start);
-      state.copies.erase(copy);
+  bool start(std::size_t copy, std::size_t slot, std::size_t index,
+             const WorkerJob& job) override {
+    Agent& agent = agents_[slot];
+    JobRequest request;
+    request.job = index;
+    // args[0] is the driver-side program path; the agent substitutes its
+    // own binary (same build), so only the tail travels.
+    request.args.assign(job.args.begin() + 1, job.args.end());
+    if (!send_frame(agent.fd, RpcType::kJob, encode_job(request))) {
+      lose(slot, "send failed");  // the copy never left
+      return false;
+    }
+    agent.flights.push_back(Flight{copy, index, &job, Clock::now()});
+    return true;
+  }
+
+  void abandon(std::size_t) override {}  // a remote worker cannot be killed
+
+  void wait(Clock::time_point until,
+            const std::function<bool(std::size_t)>& wanted,
+            std::vector<Ended>& ended) override {
+    if (ended_.empty()) poll_once(until, wanted);
+    ended.insert(ended.end(), ended_.begin(), ended_.end());
+    ended_.clear();
+  }
+
+ private:
+  void say(const std::string& line) const {
+    if (options_.log) options_.log(line);
+  }
+
+  void notify(WorkerPoolEvent::Kind kind, const std::string& agent) const {
+    if (!observer_) return;
+    WorkerPoolEvent event;
+    event.kind = kind;
+    event.detail = agent;
+    observer_(event);
+  }
+
+  void poll_once(Clock::time_point until,
+                 const std::function<bool(std::size_t)>& wanted) {
+    const bool anyone = std::any_of(agents_.begin(), agents_.end(),
+                                    [](const Agent& a) { return a.alive; });
+    if (!anyone) {
+      const Clock::time_point give_up =
+          last_activity_ +
+          std::chrono::duration_cast<Clock::duration>(
+              std::chrono::duration<double>(options_.hello_timeout_s));
+      if (Clock::now() > give_up)
+        throw std::runtime_error(
+            stats_.agents_seen == 0
+                ? "fleet: no worker agent connected within " +
+                      std::to_string(options_.hello_timeout_s) + "s"
+                : "fleet: every worker agent disconnected with work pending");
+      until = std::min(until, give_up);
     }
 
-    if (state.done) {
-      // A speculation loser (or late zombie): the job already has bytes
-      // identical to these, so they are discarded unread.
-      ++stats_.results_ignored;
-      return;
+    std::vector<pollfd> polled{pollfd{listen_fd_, POLLIN, 0}};
+    std::vector<std::size_t> owner{kNoSlot};  // agent per polled entry
+    for (std::size_t i = 0; i < agents_.size(); ++i) {
+      if (!agents_[i].alive) continue;
+      polled.push_back(pollfd{agents_[i].fd, POLLIN, 0});
+      owner.push_back(i);
     }
+    const int ready =
+        ::poll(polled.data(), static_cast<nfds_t>(polled.size()),
+                poll_timeout_ms(until));
+    if (ready < 0 && errno != EINTR) throw_errno("fleet: poll");
 
-    if (result.ok) {
-      // Tmp+rename so the shard validator can never observe a torn file.
-      const std::string tmp =
-          jobs[index].out_path + ".tmp." + std::to_string(agent_index);
-      bool wrote = false;
-      {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        wrote = static_cast<bool>(
-            out.write(result.bytes.data(),
-                      static_cast<std::streamsize>(result.bytes.size())));
+    for (std::size_t p = 0; ready > 0 && p < polled.size(); ++p) {
+      if (polled[p].revents == 0) continue;
+      if (owner[p] == kNoSlot) {
+        accept_agent();
+        continue;
       }
-      if (wrote &&
-          std::rename(tmp.c_str(), jobs[index].out_path.c_str()) == 0) {
-        if (wall_s > 0.0) {
-          tracker.record(wall_s);
-          agent.busy_s += wall_s;
-        }
-        ++agent.completed;
-        WorkerOutcome outcome;
-        outcome.ok = true;
-        outcome.attempts = state.attempts;
-        outcome.wall_s = wall_s;
-        outcome.exit_code = result.exit_code;
-        outcome.executor = agent.name;
-        finish(index, std::move(outcome));
-        return;
+      const std::size_t slot = owner[p];
+      if (!agents_[slot].alive) continue;  // lost earlier this sweep
+      RpcFrame frame;
+      const RecvStatus status = recv_frame(agents_[slot].fd, frame);
+      if (status != RecvStatus::kFrame) {
+        lose(slot, status == RecvStatus::kClosed ? "disconnected" : "error");
+        continue;
       }
-      std::remove(tmp.c_str());
-      say("fleet: cannot write " + jobs[index].out_path);
-    } else if (!result.log.empty() && options_.log) {
-      say("fleet: unit " + std::to_string(index) + " failed on " + agent.name +
-          " (exit " + std::to_string(result.exit_code) + ")");
+      JobResult result;
+      if (frame.type == RpcType::kResult &&
+          decode_result(frame.payload, result))
+        take_result(slot, result, wanted);
     }
-    requeue_or_fail(index, wall_s, result.exit_code, false, agent.name);
-  };
+  }
 
-  auto accept_agent = [&] {
+  void accept_agent() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;
     RpcFrame frame;
@@ -388,135 +233,135 @@ std::vector<WorkerOutcome> RemotePool::run_jobs(
     Agent agent;
     agent.fd = fd;
     agent.name = hello.name.empty()
-                     ? "agent#" + std::to_string(agents.size())
+                     ? "agent#" + std::to_string(agents_.size())
                      : hello.name;
     agent.capacity = hello.capacity;
-    agents.push_back(std::move(agent));
+    agents_.push_back(std::move(agent));
     ++stats_.agents_seen;
-    last_activity = clock::now();
-    say("fleet: agent " + agents.back().name + " joined (capacity " +
-        std::to_string(agents.back().capacity) + ")");
-    WorkerPoolEvent event;
-    event.kind = WorkerPoolEvent::Kind::kAgentJoin;
-    event.detail = agents.back().name;
-    notify(event);
-  };
-
-  // ------------------------------------------------------------ main loop
-  while (unfinished > 0) {
-    // Reap exited self-spawned agents as we go (no zombie buildup; their
-    // sockets surface the disconnect separately).
-    for (pid_t& pid : spawned) {
-      if (pid > 0 && ::waitpid(pid, nullptr, WNOHANG) == pid) pid = -1;
-    }
-
-    // Capacity-weighted dispatch of the queue.
-    while (!pending.empty()) {
-      const std::size_t agent_index = best_agent();
-      if (agent_index >= agents.size()) break;
-      const std::size_t index = pending.front();
-      pending.pop_front();
-      states[index].queued = false;
-      if (states[index].done) continue;
-      dispatch(index, agent_index, /*speculative=*/false);
-    }
-
-    // Straggler scan: only once the queue is drained (an idle slot with
-    // queued fresh work should take fresh work, not duplicate old work).
-    if (pending.empty() && tracker.threshold() > 0.0) {
-      for (std::size_t i = 0; i < states.size(); ++i) {
-        JobState& state = states[i];
-        if (state.done || state.copies.size() != 1) continue;
-        if (!tracker.is_straggler(seconds_since(state.copies[0].start)))
-          continue;
-        const std::size_t agent_index = best_agent();
-        if (agent_index >= agents.size()) break;  // nobody idle
-        if (agent_index == state.copies[0].agent) continue;
-        dispatch(i, agent_index, /*speculative=*/true);
-      }
-    }
-
-    // Per-copy wall-clock deadlines (the driver cannot kill a remote
-    // worker, so an overrun copy becomes a zombie: dropped from the
-    // books, though a late success may still win).
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      JobState& state = states[i];
-      if (state.done || jobs[i].timeout_s <= 0.0) continue;
-      auto overrun = std::remove_if(
-          state.copies.begin(), state.copies.end(), [&](const Copy& copy) {
-            return seconds_since(copy.start) > jobs[i].timeout_s;
-          });
-      if (overrun == state.copies.end()) continue;
-      state.copies.erase(overrun, state.copies.end());
-      requeue_or_fail(i, jobs[i].timeout_s, -1, true, "timeout");
-    }
-
-    if (alive_agents() == 0) {
-      if (seconds_since(last_activity) > options_.hello_timeout_s) {
-        for (std::size_t i = 0; i < spawned.size(); ++i)
-          if (spawned[i] > 0) ::waitpid(spawned[i], nullptr, 0);
-        throw std::runtime_error(
-            stats_.agents_seen == 0
-                ? "fleet: no worker agent connected within " +
-                      std::to_string(options_.hello_timeout_s) + "s"
-                : "fleet: every worker agent disconnected with work pending");
-      }
-    }
-
-    // Wait for traffic: the listener plus every live agent socket.
-    std::vector<pollfd> polled;
-    std::vector<std::size_t> owner;  // agent index per polled entry
-    polled.push_back(pollfd{listen_fd_, POLLIN, 0});
-    owner.push_back(agents.size());
-    for (std::size_t i = 0; i < agents.size(); ++i) {
-      if (!agents[i].alive) continue;
-      polled.push_back(pollfd{agents[i].fd, POLLIN, 0});
-      owner.push_back(i);
-    }
-    const int ready =
-        ::poll(polled.data(), static_cast<nfds_t>(polled.size()), 50);
-    if (ready < 0 && errno != EINTR) throw_errno("fleet: poll");
-    if (ready <= 0) continue;
-
-    for (std::size_t p = 0; p < polled.size(); ++p) {
-      if (polled[p].revents == 0) continue;
-      if (owner[p] >= agents.size()) {
-        accept_agent();
-        continue;
-      }
-      const std::size_t agent_index = owner[p];
-      if (!agents[agent_index].alive) continue;  // lost earlier this sweep
-      RpcFrame frame;
-      const RecvStatus status = recv_frame(agents[agent_index].fd, frame);
-      if (status != RecvStatus::kFrame) {
-        lose_agent(agent_index,
-                   status == RecvStatus::kClosed ? "disconnected" : "error");
-        continue;
-      }
-      if (frame.type != RpcType::kResult) continue;
-      JobResult result;
-      if (decode_result(frame.payload, result))
-        handle_result(agent_index, result);
-    }
+    last_activity_ = Clock::now();
+    say("fleet: agent " + agents_.back().name + " joined (capacity " +
+        std::to_string(agents_.back().capacity) + ")");
+    notify(WorkerPoolEvent::Kind::kAgentJoin, agents_.back().name);
   }
 
-  // ------------------------------------------------------------- teardown
-  for (Agent& agent : agents) {
-    if (!agent.alive) continue;
-    send_frame(agent.fd, RpcType::kShutdown, {});
+  void take_result(std::size_t slot, const JobResult& result,
+                   const std::function<bool(std::size_t)>& wanted) {
+    Agent& agent = agents_[slot];
+    last_activity_ = Clock::now();
+    const auto it = std::find_if(
+        agent.flights.begin(), agent.flights.end(),
+        [&result](const Flight& f) { return f.job == result.job; });
+    if (it == agent.flights.end()) return;  // corrupt job id: drop
+    const Flight flight = *it;
+    agent.flights.erase(it);
+
+    bool ok = false;
+    if (!wanted(flight.copy)) {
+      // A speculation loser (or late zombie): the job already has bytes
+      // identical to these, so they are discarded unread.
+      ++stats_.results_ignored;
+    } else if (result.ok) {
+      // Tmp+rename so the shard validator can never observe a torn file.
+      const std::string& out_path = flight.spec->out_path;
+      const std::string tmp = out_path + ".tmp." + std::to_string(slot);
+      {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        ok = static_cast<bool>(
+            out.write(result.bytes.data(),
+                      static_cast<std::streamsize>(result.bytes.size())));
+      }
+      ok = ok && std::rename(tmp.c_str(), out_path.c_str()) == 0;
+      if (ok) {
+        ++agent.completed;
+        agent.busy_s +=
+            std::chrono::duration<double>(Clock::now() - flight.start).count();
+      } else {
+        std::remove(tmp.c_str());
+        say("fleet: cannot write " + out_path);
+      }
+    } else if (!result.log.empty()) {
+      say("fleet: unit " + std::to_string(flight.job) + " failed on " +
+          agent.name + " (exit " + std::to_string(result.exit_code) + ")");
+    }
+    ended_.push_back(Ended{flight.copy, ok, result.exit_code});
+  }
+
+  void lose(std::size_t slot, const char* why) {
+    Agent& agent = agents_[slot];
+    if (!agent.alive) return;
+    agent.alive = false;
     ::close(agent.fd);
     agent.fd = -1;
-    agent.alive = false;
+    ++stats_.agents_lost;
+    say("fleet: agent " + agent.name + " lost (" + why + ")");
+    notify(WorkerPoolEvent::Kind::kAgentLost, agent.name);
+    for (const Flight& flight : agent.flights)
+      ended_.push_back(Ended{flight.copy, false, -1});
+    agent.flights.clear();
   }
-  for (std::size_t i = 0; i < spawned.size(); ++i)
-    if (spawned[i] > 0) ::waitpid(spawned[i], nullptr, 0);
 
-  for (const Agent& agent : agents) {
-    stats_.agent_names.push_back(agent.name);
-    stats_.agent_completed.push_back(agent.completed);
-    stats_.agent_busy_s.push_back(agent.busy_s);
-  }
-  return outcomes;
+  const RemotePoolOptions& options_;
+  int listen_fd_;
+  RemotePool::Stats& stats_;
+  const WorkerPool::Observer& observer_;
+  std::vector<int> spawned_;
+  std::vector<Agent> agents_;
+  std::vector<Ended> ended_;  ///< answered or lost copies, for `wait`
+  Clock::time_point last_activity_ = Clock::now();
+};
+
+}  // namespace
+
+RemotePool::RemotePool(RemotePoolOptions options)
+    : options_(std::move(options)) {
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) throw_errno("fleet: socket");
+  const auto fail = [this](const char* what) {
+    const int error = errno;
+    ::close(listen_fd_);
+    errno = error;
+    throw_errno(what);
+  };
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_ANY);  // agents may be remote hosts
+  address.sin_port = htons(options_.port);
+  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
+             sizeof address) != 0)
+    fail("fleet: bind");
+  if (::listen(listen_fd_, 64) != 0) fail("fleet: listen");
+  sockaddr_in bound{};
+  socklen_t bound_len = sizeof bound;
+  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+                    &bound_len) != 0)
+    fail("fleet: getsockname");
+  port_ = ntohs(bound.sin_port);
+}
+
+RemotePool::~RemotePool() {
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+}
+
+std::vector<WorkerOutcome> RemotePool::run_jobs(
+    const std::vector<WorkerJob>& jobs, const Observer& observer) {
+  stats_ = Stats{};
+  if (jobs.empty()) return {};
+  const Observer observe = [&](const WorkerPoolEvent& event) {
+    if (event.kind == WorkerPoolEvent::Kind::kRedispatch) {
+      ++stats_.redispatched;
+      if (options_.log)
+        options_.log("fleet: speculative re-dispatch of unit " +
+                     std::to_string(event.index) + " to " + event.detail);
+    }
+    if (observer) observer(event);
+  };
+  StragglerTracker tracker(options_.straggler_factor, options_.straggler_min_s,
+                           options_.straggler_min_samples);
+  TcpLauncher launcher(options_, listen_fd_, port_, stats_, observe);
+  return schedule_jobs(launcher, jobs, observe, &tracker);
 }
 
 #else  // !MINIM_HAVE_POSIX_FLEET

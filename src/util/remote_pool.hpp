@@ -14,26 +14,12 @@
 ///
 /// The driver binds a listening socket; worker agents (`cdma_drive
 /// --worker-agent=host:port`, any harness binary of the same build) connect
-/// and advertise a capacity.  `run_jobs` then runs a single-threaded poll
-/// loop over all sockets:
-///
-///   * **Capacity-weighted dispatch** — each pending job goes to the
-///     connected agent with the most free slots (ties broken by join
-///     order), so a 16-core box naturally pulls 4x the units of a 4-core
-///     one without static partitioning.
-///   * **Straggler re-dispatch** — per-agent completion durations feed a
-///     shared `StragglerTracker`; a unit whose elapsed time exceeds
-///     `factor` x the running median while other agents sit idle gets a
-///     *speculative* second copy.  First result wins; the loser's bytes
-///     are discarded unread.  This is safe precisely because shards are
-///     deterministic: both copies would produce identical bytes.
-///   * **Disconnect recovery** — an agent that vanishes (crash, network)
-///     returns its in-flight units to the queue (charging one attempt —
-///     a unit that keeps killing agents must eventually fail, not loop).
-///
-/// Results stream back as bytes in RESULT frames; the driver writes each
-/// winner to `job.out_path` via tmp+rename, so a partially-received file
-/// is never visible to the shard validator.
+/// and advertise a capacity.  `run_jobs` is the shared scheduler
+/// (worker_pool.hpp, with straggler speculation) over a TCP launcher: each
+/// copy goes to the agent with the most free slots (ties by join order)
+/// that holds no other copy of the same job; a lost agent fails its
+/// in-flight copies; each winner's RESULT bytes reach `job.out_path` by
+/// tmp+rename, so the shard validator never sees a partial file.
 ///
 /// For tests/CI (and single-machine scale-out) the pool can self-spawn
 /// loopback agents: re-invocations of this binary wired to the pool's

@@ -303,24 +303,21 @@ JobRunner subprocess_job_runner(const std::string& scratch_dir) {
     const std::string out_path = stem + ".csv";
     const std::string log_path = stem + ".log";
 
-    ProcessSpec spec;
-    spec.args.push_back(self);
+    WorkerJob job;
+    job.args.push_back(self);
     for (const std::string& arg : request.args) {
       // The driver names its own scratch file; this worker must write (and
       // we must read back) an agent-local path instead.
       if (arg.rfind("--unit-out=", 0) == 0)
-        spec.args.push_back("--unit-out=" + out_path);
+        job.args.push_back("--unit-out=" + out_path);
       else
-        spec.args.push_back(arg);
+        job.args.push_back(arg);
     }
-    spec.stdout_path = log_path;
-    spec.max_attempts = 1;  // the driver owns the retry budget
+    job.out_path = out_path;
+    job.log_path = log_path;  // one attempt: the driver owns the retry budget
 
-    ProcessPool pool(1);
-    const ProcessOutcome outcome = pool.run_all({spec}).front();
-    result.exit_code = outcome.timed_out || outcome.term_signal != 0
-                           ? -1
-                           : outcome.exit_code;
+    const WorkerOutcome outcome = ProcessPool(1).run_jobs({job}).front();
+    result.exit_code = outcome.exit_code;
 
     {  // ship the worker's output tail back for failure diagnosis
       std::ifstream log(log_path, std::ios::binary | std::ios::ate);
@@ -333,7 +330,7 @@ JobRunner subprocess_job_runner(const std::string& scratch_dir) {
       }
     }
 
-    if (outcome.ok()) {
+    if (outcome.ok) {
       std::ifstream artifact(out_path, std::ios::binary);
       if (artifact) {
         result.bytes.assign(std::istreambuf_iterator<char>(artifact),

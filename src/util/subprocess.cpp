@@ -1,18 +1,19 @@
 #include "util/subprocess.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <deque>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MINIM_HAVE_POSIX_SPAWNING 1
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#endif
+#if defined(__linux__)
+#include <sys/prctl.h>
 #endif
 
 namespace minim::util {
@@ -36,36 +37,29 @@ ProcessPool::ProcessPool(std::size_t max_parallel)
 
 #if MINIM_HAVE_POSIX_SPAWNING
 
-namespace {
-
-using clock = std::chrono::steady_clock;
-
-/// One live child.
-struct Running {
-  std::size_t index = 0;    ///< spec index
-  std::size_t attempt = 0;  ///< 1-based
-  clock::time_point start;
-  clock::time_point deadline;  ///< clock::time_point::max() when no timeout
-  bool killed = false;         ///< SIGKILL sent after the deadline passed
-};
-
-/// Forks and execs one attempt of `spec`.  Returns the child pid, or -1 when
-/// the fork itself failed (counted as a failed attempt, not an exception —
-/// a loaded box running out of pids must not abort the whole batch).
-pid_t spawn(const ProcessSpec& spec) {
+int spawn_process(const std::vector<std::string>& args,
+                  const std::string& log_path) {
   std::vector<char*> argv;
-  argv.reserve(spec.args.size() + 1);
-  for (const std::string& arg : spec.args)
+  argv.reserve(args.size() + 1);
+  for (const std::string& arg : args)
     argv.push_back(const_cast<char*>(arg.c_str()));
   argv.push_back(nullptr);
 
   const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-
-  // Child: redirect stdout+stderr into the collection file, then exec.
-  if (!spec.stdout_path.empty()) {
-    const int fd = ::open(spec.stdout_path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (pid != 0) {
+    // Both sides set the group, so a kill right after fork cannot miss it.
+    if (pid > 0) ::setpgid(pid, pid);
+    return pid;
+  }
+  ::setpgid(0, 0);
+#if defined(__linux__)
+  // Out of the terminal's process group, Ctrl-C no longer reaches the
+  // worker; dying with the driver keeps it from outliving an interrupt.
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+#endif
+  if (!log_path.empty()) {
+    const int fd =
+        ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
       ::dup2(fd, STDOUT_FILENO);
       ::dup2(fd, STDERR_FILENO);
@@ -76,161 +70,105 @@ pid_t spawn(const ProcessSpec& spec) {
   ::_exit(127);  // exec failed; 127 matches the shell's "command not found"
 }
 
-}  // namespace
+namespace {
 
-std::vector<ProcessOutcome> ProcessPool::run_all(
-    const std::vector<ProcessSpec>& specs, const Observer& observer) {
-  std::vector<ProcessOutcome> outcomes(specs.size());
-  std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < specs.size(); ++i) pending.push_back(i);
-  std::unordered_map<pid_t, Running> running;
+/// Fork/exec on this machine: one slot per allowed child.  A deadline
+/// kills the copy's process group; the killed child is reaped silently
+/// and holds its slot until then.
+class LocalLauncher final : public WorkerLauncher {
+ public:
+  explicit LocalLauncher(std::size_t max_parallel)
+      : max_parallel_(max_parallel) {}
 
-  auto notify = [&observer](ProcessEvent::Kind kind, std::size_t index,
-                            std::size_t attempt, double wall_s,
-                            const ProcessOutcome* outcome) {
-    if (observer) observer(ProcessEvent{kind, index, attempt, wall_s, outcome});
-  };
-
-  // One attempt ended (or could not start): record it, then either requeue
-  // (attempts left) or finalize.
-  auto settle = [&](std::size_t index, std::size_t attempt, int exit_code,
-                    int term_signal, bool timed_out, double wall_s) {
-    ProcessOutcome& outcome = outcomes[index];
-    outcome.exit_code = exit_code;
-    outcome.term_signal = term_signal;
-    outcome.timed_out = timed_out;
-    outcome.attempts = attempt;
-    outcome.wall_s = wall_s;
-    if (!outcome.ok() && attempt < specs[index].max_attempts) {
-      notify(ProcessEvent::Kind::kRetry, index, attempt, wall_s, &outcome);
-      pending.push_back(index);
-    } else {
-      notify(ProcessEvent::Kind::kFinish, index, attempt, wall_s, &outcome);
+  /// Reached with children alive only when an observer threw.
+  ~LocalLauncher() override {
+    for (const Child& child : children_) {
+      ::killpg(child.pid, SIGKILL);
+      ::waitpid(child.pid, nullptr, 0);
     }
-  };
+  }
 
-  while (!pending.empty() || !running.empty()) {
-    // Top up the parallel slots.
-    while (!pending.empty() && running.size() < max_parallel_) {
-      const std::size_t index = pending.front();
-      pending.pop_front();
-      const std::size_t attempt = outcomes[index].attempts + 1;
-      notify(ProcessEvent::Kind::kStart, index, attempt, 0.0, nullptr);
-      const pid_t pid = spawn(specs[index]);
-      if (pid < 0) {
-        settle(index, attempt, -1, 0, false, 0.0);
-        continue;
-      }
-      Running child;
-      child.index = index;
-      child.attempt = attempt;
-      child.start = clock::now();
-      child.deadline = specs[index].timeout_s > 0.0
-                           ? child.start + std::chrono::duration_cast<clock::duration>(
-                                 std::chrono::duration<double>(
-                                     specs[index].timeout_s))
-                           : clock::time_point::max();
-      running.emplace(pid, child);
+  std::size_t free_slot(std::size_t) override {
+    return children_.size() < max_parallel_ ? 0 : kNoSlot;
+  }
+
+  std::string executor(std::size_t) const override { return {}; }
+
+  bool start(std::size_t copy, std::size_t, std::size_t,
+             const WorkerJob& job) override {
+    const pid_t pid = spawn_process(job.args, job.log_path);
+    // A failed fork is a failed attempt, not an exception: a loaded box
+    // running out of pids must not abort the whole batch.
+    if (pid < 0)
+      unstarted_.push_back(Ended{copy, false, -1});
+    else
+      children_.push_back(Child{pid, copy, false});
+    return true;
+  }
+
+  void abandon(std::size_t copy) override {
+    for (Child& child : children_) {
+      if (child.copy != copy || child.killed) continue;
+      child.killed = true;
+      ::killpg(child.pid, SIGKILL);
     }
+  }
 
-    // Reap every child that has exited.
-    bool reaped = false;
-    for (auto it = running.begin(); it != running.end();) {
+  void wait(Clock::time_point until, const std::function<bool(std::size_t)>&,
+            std::vector<Ended>& ended) override {
+    if (unstarted_.empty() && !children_.empty()) {
+      // One reap-poll step (5 ms), or less when `until` is sooner.
+      const int left = poll_timeout_ms(until);
+      ::poll(nullptr, 0, left < 0 ? 5 : std::min(5, left));
+    }
+    ended.insert(ended.end(), unstarted_.begin(), unstarted_.end());
+    unstarted_.clear();
+    for (auto it = children_.begin(); it != children_.end();) {
       int status = 0;
-      const pid_t done = ::waitpid(it->first, &status, WNOHANG);
-      if (done != it->first) {
+      if (::waitpid(it->pid, &status, WNOHANG) != it->pid) {
         ++it;
         continue;
       }
-      const Running child = it->second;
-      it = running.erase(it);
-      reaped = true;
-      const double wall_s =
-          std::chrono::duration<double>(clock::now() - child.start).count();
-      const int exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-      const int term_signal = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-      settle(child.index, child.attempt, exit_code, term_signal, child.killed,
-             wall_s);
-    }
-    if (reaped) continue;
-
-    // Nothing exited: enforce deadlines, then yield briefly.
-    const clock::time_point now = clock::now();
-    for (auto& [pid, child] : running) {
-      if (!child.killed && now >= child.deadline) {
-        child.killed = true;  // reaped (and settled as timed out) above
-        ::kill(pid, SIGKILL);
+      if (!it->killed) {
+        const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+        ended.push_back(Ended{it->copy, code == 0, code});
       }
+      it = children_.erase(it);
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  return outcomes;
+
+ private:
+  struct Child {
+    pid_t pid = -1;
+    std::size_t copy = 0;
+    bool killed = false;  ///< SIGKILLed past its deadline
+  };
+
+  std::size_t max_parallel_;
+  std::vector<Child> children_;
+  std::vector<Ended> unstarted_;  ///< fork failures, reported by `wait`
+};
+
+}  // namespace
+
+std::vector<WorkerOutcome> ProcessPool::run_jobs(
+    const std::vector<WorkerJob>& jobs, const Observer& observer) {
+  LocalLauncher launcher(max_parallel_);
+  return schedule_jobs(launcher, jobs, observer, /*speculation=*/nullptr);
 }
 
 #else  // !MINIM_HAVE_POSIX_SPAWNING
 
-std::vector<ProcessOutcome> ProcessPool::run_all(
-    const std::vector<ProcessSpec>&, const Observer&) {
+int spawn_process(const std::vector<std::string>&, const std::string&) {
+  return -1;
+}
+
+std::vector<WorkerOutcome> ProcessPool::run_jobs(
+    const std::vector<WorkerJob>&, const Observer&) {
   throw std::runtime_error(
       "util::ProcessPool requires a POSIX platform (fork/exec/waitpid)");
 }
 
 #endif
-
-std::vector<WorkerOutcome> ProcessPool::run_jobs(
-    const std::vector<WorkerJob>& jobs, const WorkerPool::Observer& observer) {
-  std::vector<ProcessSpec> specs;
-  specs.reserve(jobs.size());
-  for (const WorkerJob& job : jobs) {
-    ProcessSpec spec;
-    spec.args = job.args;
-    spec.stdout_path = job.log_path;
-    spec.timeout_s = job.timeout_s;
-    spec.max_attempts = job.max_attempts;
-    specs.push_back(std::move(spec));
-  }
-
-  // Translated per-event so ledger updates (shard manifests) stay live; the
-  // WorkerOutcome view is rebuilt from the ProcessOutcome each time because
-  // run_all only hands out pointers into its own outcome array.
-  std::vector<WorkerOutcome> outcomes(jobs.size());
-  auto translate = [&](const ProcessEvent& event) {
-    WorkerPoolEvent out;
-    switch (event.kind) {
-      case ProcessEvent::Kind::kStart:
-        out.kind = WorkerPoolEvent::Kind::kStart;
-        break;
-      case ProcessEvent::Kind::kRetry:
-        out.kind = WorkerPoolEvent::Kind::kRetry;
-        break;
-      case ProcessEvent::Kind::kFinish:
-        out.kind = WorkerPoolEvent::Kind::kFinish;
-        break;
-    }
-    out.index = event.index;
-    out.attempt = event.attempt;
-    out.wall_s = event.wall_s;
-    if (event.outcome != nullptr) {
-      WorkerOutcome& worker = outcomes[event.index];
-      worker.ok = event.outcome->ok();
-      worker.attempts = event.outcome->attempts;
-      worker.wall_s = event.outcome->wall_s;
-      worker.timed_out = event.outcome->timed_out;
-      worker.exit_code = event.outcome->exit_code;
-      out.outcome = &worker;
-    }
-    observer(out);
-  };
-  const std::vector<ProcessOutcome> raw =
-      run_all(specs, observer ? Observer(translate) : Observer{});
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    outcomes[i].ok = raw[i].ok();
-    outcomes[i].attempts = raw[i].attempts;
-    outcomes[i].wall_s = raw[i].wall_s;
-    outcomes[i].timed_out = raw[i].timed_out;
-    outcomes[i].exit_code = raw[i].exit_code;
-  }
-  return outcomes;
-}
 
 }  // namespace minim::util

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,23 +10,22 @@
 /// \brief Self-spawning worker processes for multi-process scale-out.
 ///
 /// The experiment layer shards deterministically (`sim::Experiment` +
-/// `merge_shards`), but launching and collecting the shards used to be a
-/// by-hand shell loop.  `ProcessPool` is that loop written once: it runs a
-/// batch of commands — typically this very binary re-invoked with
+/// `merge_shards`); `ProcessPool` launches and collects the shards: it runs
+/// a batch of commands — typically this very binary re-invoked with
 /// per-work-unit arguments (`self_exe_path`) — at a bounded parallelism,
-/// captures each worker's stdout/stderr to a file, detects nonzero exits,
-/// kills workers that overrun a wall-clock deadline, retries failed workers
-/// a bounded number of times, and reports lifecycle events to an observer
-/// for live progress display.
+/// through the shared scheduler (worker_pool.hpp) over a local fork/exec
+/// launcher.  Each worker's stdout+stderr goes to its `log_path`.
 ///
-/// The pool runs on the calling thread (no helper threads): it spawns up to
-/// `max_parallel` children, then alternates between reaping exits and
-/// enforcing deadlines until every spec has either succeeded or exhausted
-/// its attempts.  Failure of one worker never aborts the batch — the caller
-/// decides what a failed outcome means (`sim::Orchestrator` raises after
-/// the retry budget is spent).
+/// Every worker runs in its own process group, and a worker that overruns
+/// its deadline is killed with its whole group, so a shell's background
+/// children die with it instead of outliving the batch.  Outside the
+/// terminal's group, Ctrl-C no longer reaches a worker: on Linux it dies
+/// with the driver (PR_SET_PDEATHSIG), but elsewhere an interrupted driver
+/// leaves its running workers behind.  Child exits are noticed by a 5 ms
+/// reap poll.  Everything runs on the calling thread.
 ///
-/// POSIX only (fork/exec/waitpid); on other platforms `run_all` throws.
+/// POSIX only (fork/exec/waitpid); on other platforms `run_jobs` throws.
+/// Only Linux is tested; other POSIX systems (macOS) take the same path.
 
 namespace minim::util {
 
@@ -35,68 +33,23 @@ namespace minim::util {
 /// driver can re-invoke itself as a worker.  Empty when undiscoverable.
 std::string self_exe_path();
 
-/// One worker to run.
-struct ProcessSpec {
-  std::vector<std::string> args;  ///< argv; args[0] is the program path
-  /// File receiving the worker's stdout+stderr (created/truncated on every
-  /// attempt).  Empty = inherit the parent's streams.
-  std::string stdout_path;
-  double timeout_s = 0.0;        ///< wall-clock kill deadline; 0 = none
-  std::size_t max_attempts = 1;  ///< total tries (1 = no retry)
-};
-
-/// Final state of one spec after its last attempt.
-struct ProcessOutcome {
-  int exit_code = -1;      ///< last attempt's exit status (-1: killed/never ran)
-  int term_signal = 0;     ///< signal that killed the last attempt; 0 if exited
-  bool timed_out = false;  ///< last attempt hit its deadline and was killed
-  std::size_t attempts = 0;
-  double wall_s = 0.0;     ///< wall clock of the last attempt
-
-  bool ok() const {
-    return attempts > 0 && !timed_out && term_signal == 0 && exit_code == 0;
-  }
-};
-
-/// Lifecycle notification (live progress reporting).
-struct ProcessEvent {
-  enum class Kind {
-    kStart,    ///< an attempt just spawned
-    kFinish,   ///< the spec is done (see outcome.ok())
-    kRetry,    ///< an attempt failed and another one will run
-  };
-  Kind kind = Kind::kStart;
-  std::size_t index = 0;    ///< spec index in the batch
-  std::size_t attempt = 0;  ///< 1-based attempt number
-  /// Per-attempt wall clock (kRetry/kFinish; 0 for kStart) — the signal a
-  /// straggler policy (util::StragglerTracker) consumes, reported here so
-  /// local and remote pools feed the same threshold logic.
-  double wall_s = 0.0;
-  /// Set for kFinish/kRetry: the outcome of the attempt that just ended.
-  const ProcessOutcome* outcome = nullptr;
-};
+/// Forks and execs `args` (args[0] is the program path) in a new process
+/// group, with stdout+stderr sent to `log_path` (created/truncated; empty =
+/// inherit).  Returns the child pid, or -1 when the fork failed.  An exec
+/// failure surfaces as the child exiting 127.
+int spawn_process(const std::vector<std::string>& args,
+                  const std::string& log_path);
 
 class ProcessPool final : public WorkerPool {
  public:
-  using Observer = std::function<void(const ProcessEvent&)>;
-
   /// `max_parallel` children run concurrently (0 = hardware concurrency).
   explicit ProcessPool(std::size_t max_parallel);
 
-  /// Runs every spec to completion, retrying failures up to each spec's
-  /// `max_attempts`.  Returns outcomes indexed like `specs`.  Never throws
-  /// on worker failure — inspect `ProcessOutcome::ok()`.
-  std::vector<ProcessOutcome> run_all(const std::vector<ProcessSpec>& specs,
-                                      const Observer& observer = {});
-
-  /// WorkerPool face of the same machinery: each job's argv runs as a
-  /// local child process (the argv writes `out_path` itself, so an ok
-  /// outcome implies the file exists).
-  std::vector<WorkerOutcome> run_jobs(
-      const std::vector<WorkerJob>& jobs,
-      const WorkerPool::Observer& observer = {}) override;
-
-  std::size_t max_parallel() const { return max_parallel_; }
+  /// Runs each job's argv as a local child process (the argv writes
+  /// `out_path` itself, so an ok outcome implies the file exists).  Never
+  /// speculates: two copies would race on that one file.
+  std::vector<WorkerOutcome> run_jobs(const std::vector<WorkerJob>& jobs,
+                                      const Observer& observer = {}) override;
 
  private:
   std::size_t max_parallel_;

@@ -24,6 +24,12 @@ struct SoakParams {
   std::uint64_t seed;
 };
 
+// Prints the strategy name, not the pointer: ctest's discovered test names
+// embed this text, so it must not depend on where the string is loaded.
+void PrintTo(const SoakParams& param, std::ostream* os) {
+  *os << param.strategy << " seed " << param.seed;
+}
+
 class StrategySoakTest : public ::testing::TestWithParam<SoakParams> {};
 
 TEST_P(StrategySoakTest, TwoHundredMixedEventsStayValid) {

@@ -105,6 +105,12 @@ struct ChurnStrategyCase {
   std::uint64_t seed;
 };
 
+// Prints the strategy name, not the pointer: ctest's discovered test names
+// embed this text, so it must not depend on where the string is loaded.
+void PrintTo(const ChurnStrategyCase& param, std::ostream* os) {
+  *os << param.name << " seed " << param.seed;
+}
+
 class ChurnStrategyTest : public ::testing::TestWithParam<ChurnStrategyCase> {};
 
 TEST_P(ChurnStrategyTest, StaysValidThroughout) {

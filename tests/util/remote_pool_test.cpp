@@ -14,10 +14,14 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "util/rpc.hpp"
 #include "util/worker_pool.hpp"
@@ -312,6 +316,102 @@ TEST(RemotePool, StragglerGetsASpeculativeCopyAndFirstResultWins) {
   EXPECT_EQ(read_file(dir + "unit_0.csv"), "shard-0-by-hare\n");
   // The speculative copy never charged the retry budget.
   EXPECT_EQ(outcomes[0].attempts, 1u);
+}
+
+TEST(RemotePool, OverrunCopyIsChargedRequeuedAndFinishedElsewhere) {
+  const std::string dir = fresh_dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  RemotePoolOptions options;
+  options.hello_timeout_s = 10.0;
+  RemotePool pool(options);
+
+  // "sloth" (capacity 2) joins first, so unit 0 goes to it, and it sits on
+  // the unit past the 0.3s deadline.  A remote copy cannot be killed: the
+  // scheduler charges the attempt and requeues the unit.  Sloth and "hare"
+  // then have one free slot each, and join order would pick sloth; but
+  // sloth still holds the zombie, and a RESULT names only the unit, so the
+  // retry must go to hare.
+  std::atomic<int> sloth_runs{0};
+  JobRunner sloth_runner = [&sloth_runs](const JobRequest& request) {
+    if (sloth_runs.fetch_add(1) == 0) std::this_thread::sleep_for(800ms);
+    return ok_result(request.job, "sloth");
+  };
+  JobRunner hare_runner = [](const JobRequest& request) {
+    return ok_result(request.job, "hare");
+  };
+
+  std::size_t retries = 0;
+  bool retry_timed_out = false;
+  std::vector<std::string> starts;  // executor per kStart
+  std::vector<WorkerOutcome> outcomes;
+  {
+    TestAgent sloth(pool.port(), "sloth", 2, sloth_runner);
+    TestAgent hare(pool.port(), "hare", 1, hare_runner, 0,
+                   /*connect_delay=*/100ms);
+    std::vector<WorkerJob> jobs = make_jobs(dir, 1, /*max_attempts=*/2);
+    jobs[0].timeout_s = 0.3;
+    outcomes = pool.run_jobs(jobs, [&](const WorkerPoolEvent& event) {
+      if (event.kind == WorkerPoolEvent::Kind::kStart)
+        starts.push_back(event.detail);
+      if (event.kind != WorkerPoolEvent::Kind::kRetry) return;
+      ++retries;
+      retry_timed_out = event.outcome->timed_out;
+    });
+  }
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_TRUE(outcomes[0].ok);
+  EXPECT_EQ(outcomes[0].attempts, 2u);
+  EXPECT_EQ(retries, 1u);
+  EXPECT_TRUE(retry_timed_out);
+  EXPECT_EQ(starts, (std::vector<std::string>{"sloth", "hare"}));
+  EXPECT_EQ(outcomes[0].executor, "hare");
+  EXPECT_EQ(read_file(dir + "unit_0.csv"), "shard-0-by-hare\n");
+  EXPECT_EQ(sloth_runs.load(), 1);
+}
+
+TEST(RemotePool, FailedSendCostsTheJobNoAttempt) {
+  const std::string dir = fresh_dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  RemotePoolOptions options;
+  options.hello_timeout_s = 10.0;
+  auto pool = std::make_unique<RemotePool>(options);
+
+  // "doomed" says HELLO and, the moment the pool has admitted it, resets
+  // its connection, so the unit's JOB frame cannot be sent.  The copy never
+  // left: with a budget of one try, the unit must still run on "good".
+  const int doomed = connect_tcp("127.0.0.1", pool->port());
+  ASSERT_GE(doomed, 0);
+  AgentHello hello;
+  hello.capacity = 4;
+  hello.name = "doomed";
+  ASSERT_TRUE(send_frame(doomed, RpcType::kHello, encode_hello(hello)));
+
+  JobRunner runner = [](const JobRequest& request) {
+    return ok_result(request.job, "good");
+  };
+  std::size_t starts = 0;
+  std::size_t lost = 0;
+  std::vector<WorkerOutcome> outcomes;
+  {
+    TestAgent good(pool->port(), "good", 1, runner);
+    outcomes = pool->run_jobs(
+        make_jobs(dir, 1, /*max_attempts=*/1),
+        [&](const WorkerPoolEvent& event) {
+          if (event.kind == WorkerPoolEvent::Kind::kAgentJoin &&
+              event.detail == "doomed") {
+            const linger reset{1, 0};  // close with RST, not FIN
+            ::setsockopt(doomed, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+            ::close(doomed);
+          }
+          starts += event.kind == WorkerPoolEvent::Kind::kStart;
+        });
+    lost = pool->stats().agents_lost;
+    pool.reset();  // closing the listener frees "good" if never admitted
+  }
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_TRUE(outcomes[0].ok);
+  EXPECT_EQ(outcomes[0].attempts, 1u);
+  EXPECT_EQ(outcomes[0].executor, "good");
+  EXPECT_EQ(starts, 1u);  // the send that failed was no start
+  EXPECT_EQ(lost, 1u);
 }
 
 TEST(RemotePool, ThrowsWhenNoAgentEverConnects) {
