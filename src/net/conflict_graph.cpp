@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -63,6 +65,15 @@ void ConflictGraph::mark_dirty(NodeId v) {
   journal_.push_back(v);
 }
 
+std::size_t ConflictGraph::memory_bytes() const {
+  return rows_.memory_bytes() + journal_.capacity() * sizeof(NodeId) +
+         (tally_.capacity() + fan_deltas_.capacity() +
+          merged_counts_.capacity()) *
+             sizeof(std::uint32_t) +
+         (fan_ids_.capacity() + merged_ids_.capacity()) * sizeof(NodeId) +
+         crossed_.capacity();
+}
+
 bool ConflictGraph::bump_row(NodeId u, NodeId v) {
   rows_.ensure_row(u);
   if (std::uint32_t* count = rows_.find(u, v)) {
@@ -73,35 +84,23 @@ bool ConflictGraph::bump_row(NodeId u, NodeId v) {
   return true;
 }
 
-bool ConflictGraph::drop_row(NodeId u, NodeId v) {
-  std::uint32_t* count = rows_.find(u, v);
-  MINIM_REQUIRE(count != nullptr,
-                "conflict graph: retracting an unknown witness");
-  if (--*count > 0) return false;
-  rows_.erase(u, v);
-  return true;
-}
-
 void ConflictGraph::add_witness(NodeId u, NodeId v) {
   if (bump_row(u, v)) {
     bump_row(v, u);
-    ++pair_count_;
-    mark_dirty(u);
-    mark_dirty(v);
+    count_crossing(u, v, +1);
   } else {
     bump_row(v, u);
   }
 }
 
-void ConflictGraph::retract_witness(NodeId u, NodeId v) {
-  if (drop_row(u, v)) {
-    drop_row(v, u);
-    --pair_count_;
-    mark_dirty(u);
-    mark_dirty(v);
+void ConflictGraph::count_crossing(NodeId u, NodeId w, int sign) {
+  if (sign > 0) {
+    ++pair_count_;
   } else {
-    drop_row(v, u);
+    --pair_count_;
   }
+  mark_dirty(u);
+  mark_dirty(w);
 }
 
 void ConflictGraph::on_node_added(NodeId v) {
@@ -116,170 +115,196 @@ void ConflictGraph::on_node_removed(NodeId v) {
   mark_dirty(v);
 }
 
-void ConflictGraph::collect_edge_partners(const graph::Digraph& g, NodeId u,
-                                          NodeId v) {
-  // {v} (CA1) merged into in(v) \ {u} (CA2 co-senders); both inputs sorted,
-  // v ∉ in(v) while the edge is unapplied, so the result is sorted unique.
-  partner_scratch_.clear();
-  bool placed = false;
-  for (NodeId w : g.in_neighbors(v)) {
-    if (w == u) continue;
-    if (!placed && v < w) {
-      partner_scratch_.push_back(v);
-      placed = true;
+NodeId ConflictGraph::check_fan(const graph::Digraph& g, NodeId hub,
+                                std::span<const NodeId> others, bool out,
+                                int sign) const {
+  MINIM_REQUIRE(std::is_sorted(others.begin(), others.end()) &&
+                    std::adjacent_find(others.begin(), others.end()) ==
+                        others.end(),
+                "conflict graph: edge fan must be ascending and deduped");
+  NodeId max_id = hub;
+  for (NodeId w : others) {
+    const bool present = out ? g.has_edge(hub, w) : g.has_edge(w, hub);
+    if (sign > 0) {
+      MINIM_REQUIRE(!present, "conflict graph: edge delta already applied");
+    } else {
+      MINIM_REQUIRE(present, "conflict graph: retracting an absent edge");
     }
-    partner_scratch_.push_back(w);
+    max_id = std::max(max_id, w);
   }
-  if (!placed) partner_scratch_.push_back(v);
-  partner_delta_.clear();  // empty = every partner carries one witness
+  return max_id;
 }
 
-void ConflictGraph::append_edge_partners(const graph::Digraph& g, NodeId u,
-                                         NodeId v) {
-  partner_scratch_.push_back(v);
-  for (NodeId w : g.in_neighbors(v))
-    if (w != u) partner_scratch_.push_back(w);
-}
-
-void ConflictGraph::aggregate_partner_multiset() {
-  std::sort(partner_scratch_.begin(), partner_scratch_.end());
-  partner_delta_.clear();
-  std::size_t unique = 0;
-  for (std::size_t i = 0; i < partner_scratch_.size();) {
-    std::size_t j = i;
-    while (j < partner_scratch_.size() &&
-           partner_scratch_[j] == partner_scratch_[i])
-      ++j;
-    partner_scratch_[unique] = partner_scratch_[i];
-    partner_delta_.push_back(static_cast<std::uint32_t>(j - i));
-    ++unique;
-    i = j;
+void ConflictGraph::merge_row(NodeId r, std::span<const NodeId> partners,
+                              std::span<const std::uint32_t> deltas, int sign,
+                              NodeId skip) {
+  // Merge pass over (row r, partners) into scratch — no per-partner search
+  // or shifting of the row — then one write-back.
+  const std::span<const NodeId> ids = rows_.ids(r);
+  const std::span<const std::uint32_t> counts = rows_.counts(r);
+  const std::size_t bound = ids.size() + partners.size();
+  if (merged_ids_.size() < bound) {
+    merged_ids_.resize(bound);
+    merged_counts_.resize(bound);
   }
-  partner_scratch_.resize(unique);
-}
-
-void ConflictGraph::apply_partner_witnesses(NodeId u, int delta) {
-  // Merge pass over (row u, partners) into scratch — no per-partner search
-  // or shifting of the hot row.  Reciprocal rows and the journal are touched
-  // only after the merged row is written back (replace_row may relocate the
-  // pool, so nothing may hold a row span across it).
-  const std::span<const NodeId> ids = rows_.ids(u);
-  const std::span<const std::uint32_t> counts = rows_.counts(u);
-  // An empty delta array means "one witness per partner" — the single-edge
-  // path (whose partner lists are unique) skips filling it.
-  const bool uniform = partner_delta_.empty();
-  const auto delta_of = [this, uniform](std::size_t j) -> std::uint32_t {
-    return uniform ? 1 : partner_delta_[j];
-  };
-  merged_ids_.clear();
-  merged_counts_.clear();
-  partner_new_.assign(partner_scratch_.size(), 0);
+  NodeId* out_ids = merged_ids_.data();
+  std::uint32_t* out_counts = merged_counts_.data();
+  crossed_.assign(partners.size(), 0);
+  std::size_t n = 0;
   std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < ids.size() || j < partner_scratch_.size()) {
-    if (j >= partner_scratch_.size() ||
-        (i < ids.size() && ids[i] < partner_scratch_[j])) {
-      merged_ids_.push_back(ids[i]);
-      merged_counts_.push_back(counts[i]);
-      ++i;
-    } else if (i >= ids.size() || partner_scratch_[j] < ids[i]) {
-      MINIM_REQUIRE(delta > 0, "conflict graph: retracting an unknown witness");
-      merged_ids_.push_back(partner_scratch_[j]);
-      merged_counts_.push_back(delta_of(j));
-      partner_new_[j] = 1;  // pair went 0 -> positive
-      ++j;
-    } else {
-      std::uint32_t count = counts[i];
-      if (delta > 0) {
-        count += delta_of(j);
+  for (std::size_t j = 0; j < partners.size(); ++j) {
+    const NodeId p = partners[j];
+    if (p == skip) continue;
+    for (; i < ids.size() && ids[i] < p; ++i, ++n) {
+      out_ids[n] = ids[i];
+      out_counts[n] = counts[i];
+    }
+    const std::uint32_t delta = deltas.empty() ? 1 : deltas[j];
+    std::uint32_t count = delta;
+    if (i < ids.size() && ids[i] == p) {
+      count = counts[i++];
+      if (sign > 0) {
+        count += delta;
       } else {
-        MINIM_REQUIRE(count >= delta_of(j),
+        MINIM_REQUIRE(count >= delta,
                       "conflict graph: retracting an unknown witness");
-        count -= delta_of(j);
-      }
-      if (count > 0) {
-        merged_ids_.push_back(ids[i]);
-        merged_counts_.push_back(count);
-      } else {
-        partner_new_[j] = 1;  // pair went positive -> 0
-      }
-      ++i;
-      ++j;
-    }
-  }
-  rows_.replace_row(u, merged_ids_, merged_counts_);
-
-  for (std::size_t p = 0; p < partner_scratch_.size(); ++p) {
-    const NodeId w = partner_scratch_[p];
-    if (delta > 0) {
-      if (partner_new_[p]) {
-        rows_.insert(w, u, delta_of(p));
-        ++pair_count_;
-        mark_dirty(u);
-        mark_dirty(w);
-      } else {
-        *rows_.find(w, u) += delta_of(p);
+        count -= delta;
+        if (count == 0) {
+          crossed_[j] = 1;  // pair went positive -> 0
+          continue;
+        }
       }
     } else {
-      if (partner_new_[p]) {
-        rows_.erase(w, u);
-        --pair_count_;
-        mark_dirty(u);
-        mark_dirty(w);
+      MINIM_REQUIRE(sign > 0, "conflict graph: retracting an unknown witness");
+      crossed_[j] = 1;  // pair went 0 -> positive
+    }
+    out_ids[n] = p;
+    out_counts[n++] = count;
+  }
+  for (; i < ids.size(); ++i, ++n) {
+    out_ids[n] = ids[i];
+    out_counts[n] = counts[i];
+  }
+  rows_.replace_row(r, {out_ids, n}, {out_counts, n});
+}
+
+void ConflictGraph::touch_row(NodeId r, NodeId w, int sign) {
+  std::uint32_t* count = rows_.find(r, w);
+  if (sign > 0) {
+    if (count != nullptr) {
+      ++*count;
+    } else {
+      rows_.insert(r, w, 1);
+    }
+    return;
+  }
+  MINIM_REQUIRE(count != nullptr,
+                "conflict graph: retracting an unknown witness");
+  if (--*count == 0) rows_.erase(r, w);
+}
+
+void ConflictGraph::out_fan(const graph::Digraph& g, NodeId u,
+                            std::span<const NodeId> targets, int sign) {
+  if (targets.empty()) return;
+  rows_.ensure_row(check_fan(g, u, targets, /*out=*/true, sign));
+  // Partner multiset ⊎_{v∈T} ({v} ∪ in(v) \ {u}), tallied per id: a
+  // co-sender into several targets witnesses the pair once per target.
+  // Only the distinct partners are sorted.
+  if (tally_.size() < g.id_bound()) tally_.resize(g.id_bound(), 0);
+  fan_ids_.clear();
+  const auto tally = [this](NodeId w) {
+    if (tally_[w]++ == 0) fan_ids_.push_back(w);
+  };
+  for (NodeId v : targets) {
+    tally(v);
+    for (NodeId w : g.in_neighbors(v))
+      if (w != u) tally(w);
+  }
+  std::sort(fan_ids_.begin(), fan_ids_.end());
+  fan_deltas_.resize(fan_ids_.size());
+  for (std::size_t j = 0; j < fan_ids_.size(); ++j) {
+    fan_deltas_[j] = std::exchange(tally_[fan_ids_[j]], 0);
+  }
+
+  merge_row(u, fan_ids_, fan_deltas_, sign, graph::kInvalidNode);
+  // Reciprocal rows: one point update each (merge_row may relocate the
+  // pool, so no row span is held across it).
+  for (std::size_t j = 0; j < fan_ids_.size(); ++j) {
+    const NodeId w = fan_ids_[j];
+    const std::uint32_t delta = fan_deltas_[j];
+    if (crossed_[j]) {
+      count_crossing(u, w, sign);
+      if (sign > 0) {
+        rows_.insert(w, u, delta);
       } else {
-        *rows_.find(w, u) -= delta_of(p);
+        rows_.erase(w, u);
       }
+    } else if (sign > 0) {
+      *rows_.find(w, u) += delta;
+    } else {
+      *rows_.find(w, u) -= delta;
     }
   }
 }
 
-void ConflictGraph::on_edge_added(const graph::Digraph& g, NodeId u, NodeId v) {
-  MINIM_REQUIRE(!g.has_edge(u, v), "conflict graph: edge delta already applied");
-  rows_.ensure_row(std::max(u, v));
-  collect_edge_partners(g, u, v);
-  apply_partner_witnesses(u, +1);
-}
+void ConflictGraph::in_fan(const graph::Digraph& g,
+                           std::span<const NodeId> senders, NodeId v,
+                           int sign) {
+  if (senders.empty()) return;
+  rows_.ensure_row(check_fan(g, v, senders, /*out=*/false, sign));
+  // fan_ids_ = {v} ∪ in(v) ∪ S.  For a removal S ⊆ in(v); for an addition S
+  // and in(v) are disjoint.  Either way in(v) \ S is K.
+  const std::span<const NodeId> in = g.in_neighbors(v);
+  fan_ids_.clear();
+  std::set_union(in.begin(), in.end(), senders.begin(), senders.end(),
+                 std::back_inserter(fan_ids_));
+  fan_ids_.insert(std::upper_bound(fan_ids_.begin(), fan_ids_.end(), v), v);
+  const auto is_sender = [senders](NodeId w) {
+    return std::binary_search(senders.begin(), senders.end(), w);
+  };
 
-void ConflictGraph::on_edge_removed(const graph::Digraph& g, NodeId u, NodeId v) {
-  MINIM_REQUIRE(g.has_edge(u, v), "conflict graph: retracting an absent edge");
-  collect_edge_partners(g, u, v);
-  apply_partner_witnesses(u, -1);
+  // Each sender a: one merge with {v} ∪ K ∪ S \ {a}.  A pair inside S
+  // crosses in both of its senders' merges; the lower sender books it.
+  for (NodeId a : senders) {
+    merge_row(a, fan_ids_, {}, sign, a);
+    for (std::size_t j = 0; j < fan_ids_.size(); ++j) {
+      if (!crossed_[j]) continue;
+      const NodeId w = fan_ids_[j];
+      if (w < a && is_sender(w)) continue;
+      count_crossing(a, w, sign);
+    }
+  }
+  // Row v: one merge with S (its crossings were booked by the senders).
+  merge_row(v, senders, {}, sign, graph::kInvalidNode);
+  // Rows in K gain or lose S by point updates.  On the serving transcripts
+  // (about 15 senders into K rows of about 90 partners) a full-row merge
+  // per K row measured no faster.
+  for (NodeId k : in) {
+    if (is_sender(k)) continue;
+    for (NodeId a : senders) touch_row(k, a, sign);
+  }
 }
 
 void ConflictGraph::on_out_edges_added(const graph::Digraph& g, NodeId u,
                                        std::span<const NodeId> targets) {
-  if (targets.empty()) return;
-  MINIM_REQUIRE(std::is_sorted(targets.begin(), targets.end()) &&
-                    std::adjacent_find(targets.begin(), targets.end()) ==
-                        targets.end(),
-                "conflict graph: edge fan must be ascending and deduped");
-  NodeId max_id = u;
-  partner_scratch_.clear();
-  for (NodeId v : targets) {
-    MINIM_REQUIRE(!g.has_edge(u, v),
-                  "conflict graph: edge delta already applied");
-    max_id = std::max(max_id, v);
-    append_edge_partners(g, u, v);
-  }
-  rows_.ensure_row(max_id);
-  aggregate_partner_multiset();
-  apply_partner_witnesses(u, +1);
+  out_fan(g, u, targets, +1);
 }
 
 void ConflictGraph::on_out_edges_removed(const graph::Digraph& g, NodeId u,
                                          std::span<const NodeId> targets) {
-  if (targets.empty()) return;
-  MINIM_REQUIRE(std::is_sorted(targets.begin(), targets.end()) &&
-                    std::adjacent_find(targets.begin(), targets.end()) ==
-                        targets.end(),
-                "conflict graph: edge fan must be ascending and deduped");
-  partner_scratch_.clear();
-  for (NodeId v : targets) {
-    MINIM_REQUIRE(g.has_edge(u, v), "conflict graph: retracting an absent edge");
-    append_edge_partners(g, u, v);
-  }
-  aggregate_partner_multiset();
-  apply_partner_witnesses(u, -1);
+  out_fan(g, u, targets, -1);
+}
+
+void ConflictGraph::on_in_edges_added(const graph::Digraph& g,
+                                      std::span<const NodeId> senders,
+                                      NodeId v) {
+  in_fan(g, senders, v, +1);
+}
+
+void ConflictGraph::on_in_edges_removed(const graph::Digraph& g,
+                                        std::span<const NodeId> senders,
+                                        NodeId v) {
+  in_fan(g, senders, v, -1);
 }
 
 void ConflictGraph::clear() {

@@ -30,8 +30,25 @@
 /// transitions (0 → 1 and 1 → 0) are detected locally, with no global
 /// recount.
 ///
-/// The owner (`AdhocNetwork`) reports deltas *before* applying them to the
-/// digraph; this class never mutates the digraph it reads.
+/// ## Delta protocol: fans and phases
+///
+/// The owner (`AdhocNetwork`) reports an event's edge changes as *fans*,
+/// each *before* applying it to the digraph; this class never mutates the
+/// digraph it reads.  A fan shares one endpoint, and applies its witnesses
+/// with at most one sorted merge per touched row:
+///
+///   * **Out-fan** u → T (u's own reach changed).  The partner multiset
+///     ⊎_{v∈T} ({v} ∪ in(v) \ {u}) is tallied per id, only the distinct
+///     partners are sorted, and row u merges once; every partner's row gets
+///     one point update for u.
+///   * **In-fan** S → v (who reaches v changed).  With K = in(v) \ S, each
+///     sender a ∈ S merges once with {v} ∪ K ∪ S \ {a}, row v merges once
+///     with S, and each row in K gains or loses S.
+///
+/// An event reports at most four fans, each *sign-uniform* (only additions
+/// or only removals), in a fixed phase order: out-removals, out-additions,
+/// in-removals, in-additions.  A fan's total equals applying its edges one
+/// at a time, in any order.
 ///
 /// ## Dirty journal
 ///
@@ -43,6 +60,13 @@
 /// (dirty-region recoloring in `BbbStrategy`).  If the window has been
 /// trimmed away — or the graph was `clear()`ed — the query fails and the
 /// consumer must fall back to a full pass.
+///
+/// Journal invariant: inside one phase every pair's count is monotone, so a
+/// pair crosses zero at most once per phase, and each crossing journals
+/// both endpoints exactly once — the entries an edge-at-a-time application
+/// of the same phase would write.  Only their order inside a phase is
+/// unspecified (consumers sort and dedupe, or count), so revisions and trim
+/// points depend on the event sequence alone.
 namespace minim::net {
 
 using graph::NodeId;
@@ -71,10 +95,9 @@ class ConflictGraph {
   /// Exclusive upper bound on ids with allocated rows.
   NodeId id_bound() const { return static_cast<NodeId>(rows_.row_count()); }
 
-  /// Heap bytes held by the adjacency pools and the dirty journal.
-  std::size_t memory_bytes() const {
-    return rows_.memory_bytes() + journal_.capacity() * sizeof(NodeId);
-  }
+  /// Heap bytes held by the adjacency pools, the dirty journal and the fan
+  /// scratch (the partner tally costs 4 B per id ever seen).
+  std::size_t memory_bytes() const;
 
   // ------------------------------------------------------------- journal
 
@@ -111,33 +134,30 @@ class ConflictGraph {
   void on_node_added(NodeId v);
 
   /// Journals the removal.  Requires every incident digraph edge to have
-  /// been retracted through on_edge_removed first (the row must be empty).
+  /// been retracted through the fans first (the row must be empty).
   void on_node_removed(NodeId v);
 
-  /// Accounts the witnesses of the new edge u→v.  Must be called *before*
-  /// `g.add_edge(u, v)` (so `g.in_neighbors(v)` lists only the other
-  /// senders); requires the edge to be absent from `g`.
-  void on_edge_added(const graph::Digraph& g, NodeId u, NodeId v);
-
-  /// Retracts the witnesses of edge u→v.  Must be called *before*
-  /// `g.remove_edge(u, v)`.
-  void on_edge_removed(const graph::Digraph& g, NodeId u, NodeId v);
-
-  /// Batched `on_edge_added` for a fan of edges u→v, v ∈ `targets`
-  /// (ascending, deduped, each absent from `g`; must be called before any
-  /// of them is applied).  Witness-equivalent to calling `on_edge_added`
-  /// per target in order — a fan of u's own out-edges never changes the
-  /// partner set of its later edges, so pre-state collection is exact — but
-  /// the combined partner multiset merges into row u *once* for the whole
-  /// fan instead of once per edge.  A join's k edges thus cost one sorted
-  /// merge of u's row, not k.
+  /// Out-fan: accounts the witnesses of the new edges u→v, v ∈ `targets`
+  /// (ascending, deduped, each absent from `g`).  Call before applying any
+  /// of them to `g`.
   void on_out_edges_added(const graph::Digraph& g, NodeId u,
                           std::span<const NodeId> targets);
 
-  /// Batched `on_edge_removed` for edges u→v, v ∈ `targets` (ascending,
-  /// deduped, each present in `g`; call before removing any of them).
+  /// Out-fan: retracts the witnesses of edges u→v, v ∈ `targets`
+  /// (ascending, deduped, each present in `g`; call before removing any).
   void on_out_edges_removed(const graph::Digraph& g, NodeId u,
                             std::span<const NodeId> targets);
+
+  /// In-fan: accounts the witnesses of the new edges a→v, a ∈ `senders`
+  /// (ascending, deduped, each absent from `g`).  Call before applying any
+  /// of them to `g`.
+  void on_in_edges_added(const graph::Digraph& g,
+                         std::span<const NodeId> senders, NodeId v);
+
+  /// In-fan: retracts the witnesses of edges a→v, a ∈ `senders`
+  /// (ascending, deduped, each present in `g`; call before removing any).
+  void on_in_edges_removed(const graph::Digraph& g,
+                           std::span<const NodeId> senders, NodeId v);
 
   /// Drops all adjacency, keeping row capacity (arena reuse).  Invalidates
   /// every outstanding journal window.
@@ -151,48 +171,47 @@ class ConflictGraph {
   static ConflictGraph build_from(const graph::Digraph& g);
 
  private:
-  /// Adds one witness to the unordered pair {u, v} (both directions).
+  /// Adds one witness to the unordered pair {u, v} (both directions) —
+  /// the edge-free path of `build_from`.
   void add_witness(NodeId u, NodeId v);
-  /// Retracts one witness from {u, v}.
-  void retract_witness(NodeId u, NodeId v);
   /// One direction of add_witness; returns true when the pair went 0 → 1.
   bool bump_row(NodeId u, NodeId v);
-  /// One direction of retract_witness; returns true when the pair went 1 → 0.
-  bool drop_row(NodeId u, NodeId v);
   void mark_dirty(NodeId v);
+  /// Books an existence transition of {u, w}: the pair count and both
+  /// journal entries.
+  void count_crossing(NodeId u, NodeId w, int sign);
 
-  /// Fills `partner_scratch_` with the sorted witness partners of edge
-  /// u→v in `g` ({v} ∪ in(v) \ {u}; the edge must not be applied yet).
-  void collect_edge_partners(const graph::Digraph& g, NodeId u, NodeId v);
-  /// Appends the witness partners of edge u→v to `partner_scratch_`
-  /// without clearing it (batch collection; the result is re-sorted and
-  /// aggregated by `aggregate_partner_multiset`).
-  void append_edge_partners(const graph::Digraph& g, NodeId u, NodeId v);
-  /// Sorts `partner_scratch_` and aggregates duplicates into parallel
-  /// (`partner_scratch_`, `partner_delta_`) arrays: unique ascending ids
-  /// with per-id witness multiplicities.  A partner can witness several of
-  /// a fan's edges (a co-sender to two targets), so deltas exceed 1.
-  void aggregate_partner_multiset();
-  /// Adds (delta=+1) or retracts (delta=-1) `partner_delta_[i]` witnesses
-  /// for every pair (u, partner_scratch_[i]), as a single merge over row u
-  /// plus one reciprocal touch per partner — equivalent to the same
-  /// witnesses applied through add_witness/retract_witness one at a time,
-  /// minus their repeated row-u searches and re-merges.
-  void apply_partner_witnesses(NodeId u, int delta);
+  void out_fan(const graph::Digraph& g, NodeId u,
+               std::span<const NodeId> targets, int sign);
+  void in_fan(const graph::Digraph& g, std::span<const NodeId> senders,
+              NodeId v, int sign);
+  /// Checks a fan's shape and its edges' presence (`sign` > 0: absent) in
+  /// `g`; returns the largest id it names.
+  NodeId check_fan(const graph::Digraph& g, NodeId hub,
+                   std::span<const NodeId> others, bool out, int sign) const;
+  /// One sorted merge of `partners` (ascending, unique; `skip` excluded)
+  /// into row `r`: adds (`sign` > 0) or retracts `deltas[j]` witnesses per
+  /// partner — one each when `deltas` is empty.  Sets `crossed_[j]` for
+  /// every pair that crossed zero; journals nothing.
+  void merge_row(NodeId r, std::span<const NodeId> partners,
+                 std::span<const std::uint32_t> deltas, int sign,
+                 NodeId skip);
+  /// Point update of pair (r, w) in row r by one witness.
+  void touch_row(NodeId r, NodeId w, int sign);
 
   std::uint64_t nonce_;  ///< process-unique; see nonce()
   /// Sorted pooled rows; the parallel count of `ids(v)[i]` is the witness
   /// multiplicity of the pair.
   graph::CountedRowPool rows_;
-  // Edge-delta scratch (see apply_partner_witnesses).
-  std::vector<NodeId> partner_scratch_;
-  /// Parallel to partner_scratch_: witnesses per partner.  Left empty by
-  /// the single-edge path, meaning "one witness each" — the per-event hot
-  /// path pays no batch bookkeeping.
-  std::vector<std::uint32_t> partner_delta_;
-  std::vector<NodeId> merged_ids_;
+  // Fan scratch, kept across calls (counted by memory_bytes()).
+  /// Id-indexed witness tally of an out-fan's partners; all zero between
+  /// calls (only the touched entries are reset).
+  std::vector<std::uint32_t> tally_;
+  std::vector<NodeId> fan_ids_;  ///< a fan's distinct partners, ascending
+  std::vector<std::uint32_t> fan_deltas_;  ///< parallel to fan_ids_
+  std::vector<NodeId> merged_ids_;  ///< merge_row output
   std::vector<std::uint32_t> merged_counts_;
-  std::vector<char> partner_new_;  ///< parallel to partner_scratch_: 0 ↔ 1 transition
+  std::vector<char> crossed_;  ///< merge_row: partner j's pair crossed zero
   /// The revision of `journal_[i]` is `journal_base_ + i` — the counter
   /// bumps exactly once per entry, so entries store only the node id.
   std::vector<NodeId> journal_;

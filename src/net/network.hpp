@@ -106,17 +106,19 @@ class AdhocNetwork {
   std::size_t memory_bytes() const;
 
  private:
-  /// Adds edge u -> v to the digraph, accounting the conflict-graph delta
-  /// first.  No-op when present.
-  void link(NodeId u, NodeId v);
-  /// Removes edge u -> v, retracting the conflict-graph delta.  No-op when
-  /// absent.
-  void unlink(NodeId u, NodeId v);
-  /// Batched link/unlink of a fan of u's out-edges (`targets` ascending,
-  /// deduped, all absent/present respectively): one conflict-row merge for
-  /// the whole fan (ConflictGraph::on_out_edges_*) instead of one per edge.
+  /// Edge fans, each applied to the conflict graph before the digraph (see
+  /// conflict_graph.hpp).  An out-fan is u -> w for w ∈ `targets`; an
+  /// in-fan is w -> v for w ∈ `senders`.  Lists are ascending and deduped,
+  /// all edges absent (link) or present (unlink).  Each fan costs at most
+  /// one conflict-row merge per touched row.  An event issues its fans in
+  /// the phase order the journal relies on: out-removals, out-additions,
+  /// in-removals, in-additions.
   void link_fan(NodeId u, const std::vector<NodeId>& targets);
   void unlink_fan(NodeId u, const std::vector<NodeId>& targets);
+  void link_in_fan(const std::vector<NodeId>& senders, NodeId v);
+  void unlink_in_fan(const std::vector<NodeId>& senders, NodeId v);
+  /// Fills `stale_` (current \ desired_) and `fresh_` (desired_ \ current).
+  void diff_against(std::span<const NodeId> current);
   /// Replaces v's out-edge set based on current config (diff against the
   /// live set, so unchanged edges generate no conflict-graph churn).
   void refresh_out_edges(NodeId v);

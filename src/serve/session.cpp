@@ -132,6 +132,11 @@ SessionStats serve_session(AssignmentEngine& engine, Transport& transport,
 
     for (const std::string& request : burst) {
       ++stats.lines;
+      if (request.size() > kMaxLineBytes) {
+        flush_pending();
+        error_at(stats.lines, "line too long");
+        continue;
+      }
       const std::string verb = first_token(request);
 
       if (verb == "quit") {

@@ -25,9 +25,9 @@
 ///
 ///   ok <seq> <verb> node=<n> recoded=<k> maxc=<c> live=<l> fallback=<0|1>
 ///
-/// Malformed lines answer `err line=<n> <reason>` and the session keeps
-/// serving — a live network does not go down because one client sent a
-/// typo.  Latency is deliberately absent from receipt lines (they would
+/// Malformed lines, and lines longer than `kMaxLineBytes`, answer
+/// `err line=<n> <reason>` and the session keeps serving — a live network
+/// does not go down because one client sent a typo.  Latency is deliberately absent from receipt lines (they would
 /// never diff against a golden transcript); it lives in the engine's
 /// histograms and the `stats`-side summaries.
 ///

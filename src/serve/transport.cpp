@@ -172,20 +172,53 @@ bool TcpServerTransport::accept_client() {
 }
 
 bool TcpServerTransport::pop_buffered_line(std::string& line) {
-  const std::size_t newline = buffer_.find('\n');
-  if (newline != std::string::npos) {
-    line.assign(buffer_, 0, newline);
-    buffer_.erase(0, newline + 1);
+  const auto strip_cr = [&line] {
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    return true;
+  };
+  while (true) {
+    const std::size_t newline = buffer_.find('\n', cursor_);
+    if (discarding_) {
+      // The tail of an overlong line, dropped up to its terminator.
+      if (newline == std::string::npos) {
+        cursor_ = buffer_.size();
+        break;
+      }
+      cursor_ = newline + 1;
+      discarding_ = false;
+      continue;
+    }
+    const std::size_t end =
+        newline == std::string::npos ? buffer_.size() : newline;
+    if (end - cursor_ > kMaxLineBytes + 1) {
+      // Too long for a request even with a '\r': the session gets the first
+      // kMaxLineBytes + 1 bytes, enough to answer "line too long".
+      line.assign(buffer_, cursor_, kMaxLineBytes + 1);
+      discarding_ = newline == std::string::npos;
+      cursor_ = discarding_ ? buffer_.size() : newline + 1;
+      return true;
+    }
+    if (newline != std::string::npos) {
+      line.assign(buffer_, cursor_, newline - cursor_);
+      cursor_ = newline + 1;
+      strip_cr();
+      return true;
+    }
+    if (eof_ && cursor_ < buffer_.size()) {
+      // Final unterminated line (a client that closed without a newline).
+      line.assign(buffer_, cursor_);
+      cursor_ = buffer_.size();
+      strip_cr();
+      return true;
+    }
+    break;
   }
-  if (eof_ && !buffer_.empty()) {
-    // Final unterminated line (a client that closed without a newline).
-    line = std::exchange(buffer_, {});
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return true;
-  }
+  compact();
   return false;
+}
+
+void TcpServerTransport::compact() {
+  buffer_.erase(0, cursor_);
+  cursor_ = 0;
 }
 
 bool TcpServerTransport::read_line(std::string& line) {
@@ -210,8 +243,10 @@ std::size_t TcpServerTransport::read_available(std::vector<std::string>& lines,
                                                std::size_t max) {
   if (client_fd_ < 0) return 0;
   // Top the buffer up with whatever the kernel already received, without
-  // blocking: a client that pipelined a burst lands in one batch.
-  while (!eof_) {
+  // blocking: a client that pipelined a burst lands in one batch.  Stop
+  // once a maximal line is buffered; the rest waits in the kernel.
+  compact();
+  while (!eof_ && buffer_.size() <= kMaxLineBytes) {
     char chunk[4096];
     const ssize_t got = ::recv(client_fd_, chunk, sizeof chunk, MSG_DONTWAIT);
     if (got > 0) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
@@ -27,6 +28,12 @@
 /// nothing for a second concurrent client to safely do.
 
 namespace minim::serve {
+
+/// Longest request line, in bytes before the terminator, that the session
+/// serves.  A longer line is answered `err line=<n> line too long`.  The
+/// TCP transport also buffers no more of such a line than it takes to tell
+/// (see TcpServerTransport).
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 class Transport {
  public:
@@ -115,6 +122,12 @@ class TraceFileTransport final : public Transport {
 /// newline-terminated; a trailing carriage return is stripped so `telnet`
 /// and `nc -C` sessions work unmodified.  Throws std::runtime_error on
 /// socket errors at setup.
+///
+/// Input is bounded: a line longer than `kMaxLineBytes` (plus a '\r')
+/// reaches the session cut to its first `kMaxLineBytes + 1` bytes, which the
+/// session answers as too long, and the rest of it is dropped unread up to
+/// the next '\n'.  The receive buffer thus never holds much more than one
+/// maximal line.
 class TcpServerTransport final : public Transport {
  public:
   explicit TcpServerTransport(std::uint16_t port = 0);
@@ -140,17 +153,25 @@ class TcpServerTransport final : public Transport {
   void flush() override;
   std::string describe() const override;
 
+  /// Bytes allocated for received input (the bound above, observable).
+  std::size_t receive_capacity() const { return buffer_.capacity(); }
+
  private:
   bool accept_client();
   /// Extracts one buffered line; false when `buffer_` holds no complete
   /// line (and, at EOF, no unterminated tail).
   bool pop_buffered_line(std::string& line);
+  /// Drops the consumed prefix of `buffer_`: once per refill, never once
+  /// per line (that was quadratic in a pipelined burst).
+  void compact();
   void send_all(const char* data, std::size_t size);
 
   int listen_fd_ = -1;
   int client_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::string buffer_;      ///< received bytes not yet returned as lines
+  std::string buffer_;      ///< received bytes; [cursor_, end) not yet lines
+  std::size_t cursor_ = 0;  ///< read position in buffer_
+  bool discarding_ = false;  ///< dropping the tail of an overlong line
   std::string out_buffer_;  ///< response bytes not yet flushed
   bool eof_ = false;
 };

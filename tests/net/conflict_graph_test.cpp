@@ -1,13 +1,16 @@
 // The incremental ConflictGraph cache: delta maintenance cross-checked
 // against from-scratch construction on brute-force-rebuilt digraphs after
 // randomized join/leave/move/power event sequences, plus the dirty-journal
-// protocol dirty-region consumers rely on.
+// protocol dirty-region consumers rely on, checked per event against a
+// phase oracle that never calls the delta protocol.
 
 #include "net/conflict_graph.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "net/constraints.hpp"
@@ -97,6 +100,86 @@ TEST(ConflictGraphDeltas, PartnersMatchConstraintEnumeration) {
   }
 }
 
+// ------------------------------------------------------ the phase oracle
+
+/// Appends both endpoints of every pair whose existence differs between
+/// `before` and `after` — the zero crossings of one sign-uniform phase.
+void append_crossings(const ConflictGraph& before, const ConflictGraph& after,
+                      std::vector<NodeId>& endpoints) {
+  const auto crossed_away = [&endpoints](const ConflictGraph& from,
+                                         const ConflictGraph& to) {
+    for (NodeId u = 0; u < from.id_bound(); ++u)
+      for (NodeId w : from.neighbors(u))
+        if (u < w && !to.in_conflict(u, w)) {
+          endpoints.push_back(u);
+          endpoints.push_back(w);
+        }
+  };
+  crossed_away(before, after);
+  crossed_away(after, before);
+}
+
+/// The journal of one event that changes the edges at `v`, derived without
+/// the delta protocol.  Starting from the pre-event digraph `g`, the oracle
+/// applies the event's edge changes (towards `after`) in the protocol's four
+/// sign-uniform phases — out-removals, out-additions, in-removals,
+/// in-additions — builds each phase's conflict graph from scratch, and
+/// journals both endpoints of every pair that crossed zero, plus `v` for a
+/// join or a leave.  Returned sorted: the entries' order inside a phase is
+/// unspecified.
+std::vector<NodeId> phase_oracle_journal(Digraph g, const Digraph& after,
+                                         NodeId v, bool joined, bool left) {
+  std::vector<NodeId> expected;
+  if (joined) {
+    EXPECT_EQ(g.add_node(), v);
+    expected.push_back(v);
+  }
+  ConflictGraph previous = ConflictGraph::build_from(g);
+  const auto phase = [&](bool out, bool add) {
+    const auto live = out ? g.out_neighbors(v) : g.in_neighbors(v);
+    const std::span<const NodeId> wanted =
+        left ? std::span<const NodeId>()
+             : (out ? after.out_neighbors(v) : after.in_neighbors(v));
+    const std::vector<NodeId> current(live.begin(), live.end());
+    for (NodeId w : add ? wanted : std::span<const NodeId>(current)) {
+      const bool keep = std::binary_search(wanted.begin(), wanted.end(), w);
+      if (add) {
+        g.add_edge(out ? v : w, out ? w : v);
+      } else if (!keep) {
+        g.remove_edge(out ? v : w, out ? w : v);
+      }
+    }
+    ConflictGraph next = ConflictGraph::build_from(g);
+    append_crossings(previous, next, expected);
+    previous = std::move(next);
+  };
+  phase(/*out=*/true, /*add=*/false);
+  if (!left) phase(true, true);
+  phase(false, false);
+  if (!left) phase(false, true);
+  if (left) expected.push_back(v);
+  std::sort(expected.begin(), expected.end());
+  return expected;
+}
+
+/// Journal entries since `since`, sorted (duplicates kept).
+std::vector<NodeId> sorted_journal_since(const ConflictGraph& cg,
+                                         std::uint64_t since) {
+  std::vector<NodeId> entries;
+  EXPECT_TRUE(cg.append_dirty_since(since, entries));
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+/// The journal check: the revision delta is the oracle's entry count (two
+/// per crossing plus the node marks), and the entries are the oracle's
+/// endpoints — as a multiset, so the dirty id sets agree too.
+void expect_journal(const ConflictGraph& cg, std::uint64_t since,
+                    const std::vector<NodeId>& expected) {
+  EXPECT_EQ(cg.revision() - since, expected.size());
+  EXPECT_EQ(sorted_journal_since(cg, since), expected);
+}
+
 // --------------------------------------------------- randomized event soak
 
 class ConflictGraphSoak : public ::testing::TestWithParam<std::uint64_t> {};
@@ -106,23 +189,46 @@ TEST_P(ConflictGraphSoak, IncrementalEqualsBruteForceRebuild) {
   AdhocNetwork net;
   std::vector<NodeId> live;
 
-  for (int event = 0; event < 120; ++event) {
+  for (int event = 0; event < 160; ++event) {
     const double roll = rng.uniform(0, 1);
-    if (live.size() < 5 || roll < 0.35) {  // join
-      live.push_back(net.add_node(
-          {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(10, 35)}));
-    } else if (roll < 0.55) {  // move
-      const NodeId v = live[rng.below(live.size())];
+    const Digraph before = net.graph();
+    const std::uint64_t revision = net.conflict_graph().revision();
+    NodeId v = 0;
+    bool joined = false;
+    bool left = false;
+    if (live.size() < 5 || roll < 0.3) {  // join
+      v = net.add_node(
+          {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(10, 35)});
+      live.push_back(v);
+      joined = true;
+    } else if (roll < 0.45) {  // move anywhere
+      v = live[rng.below(live.size())];
       net.set_position(v, {rng.uniform(0, 100), rng.uniform(0, 100)});
-    } else if (roll < 0.85) {  // power change (raise or cut)
-      const NodeId v = live[rng.below(live.size())];
+    } else if (roll < 0.6) {  // small displacement: most in-edges survive
+      v = live[rng.below(live.size())];
+      const auto p = net.config(v).position;
+      net.set_position(v, {p.x + rng.uniform(-4, 4), p.y + rng.uniform(-4, 4)});
+    } else if (roll < 0.75) {  // power change (raise or cut)
+      v = live[rng.below(live.size())];
       net.set_range(v, rng.uniform(0, 40));
+    } else if (roll < 0.87) {  // power raise up to 6x (fig11's range)
+      v = live[rng.below(live.size())];
+      net.set_range(v, net.config(v).range * rng.uniform(1, 6));
     } else {  // leave
       const std::size_t index = rng.below(live.size());
-      net.remove_node(live[index]);
+      v = live[index];
+      net.remove_node(v);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+      left = true;
     }
-    ASSERT_NO_FATAL_FAILURE(expect_matches_brute_force(net)) << "event " << event;
+    const Digraph after = net.rebuild_graph_brute_force();
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same(net.conflict_graph(), ConflictGraph::build_from(after)))
+        << "event " << event;
+    ASSERT_NO_FATAL_FAILURE(expect_journal(
+        net.conflict_graph(), revision,
+        phase_oracle_journal(before, after, v, joined, left)))
+        << "event " << event;
   }
 }
 
@@ -226,45 +332,52 @@ TEST(NetworkReset, ReplaysIdenticallyToAFreshNetwork) {
 
 // ------------------------------------------------------------- batched fans
 
-/// Randomized digraph + node set shared by a sequential-protocol instance
-/// and a batched-protocol instance.
+/// A random digraph and its conflict graph, maintained through the fans.
 struct FanFixture {
-  Digraph g_seq;
-  Digraph g_batch;
-  ConflictGraph seq;
-  ConflictGraph batch;
+  Digraph g;
+  ConflictGraph cg;
 
   explicit FanFixture(std::size_t n, Rng& rng, double edge_p = 0.25) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId a = g_seq.add_node();
-      const NodeId b = g_batch.add_node();
-      EXPECT_EQ(a, b);
-      seq.on_node_added(a);
-      batch.on_node_added(a);
+    for (std::size_t i = 0; i < n; ++i) cg.on_node_added(g.add_node());
+    std::vector<NodeId> targets;
+    for (NodeId u = 0; u < n; ++u) {
+      targets.clear();
+      for (NodeId v = 0; v < n; ++v)
+        if (u != v && rng.uniform01() < edge_p) targets.push_back(v);
+      cg.on_out_edges_added(g, u, targets);
+      for (NodeId v : targets) g.add_edge(u, v);
     }
-    for (NodeId u = 0; u < n; ++u)
-      for (NodeId v = 0; v < n; ++v) {
-        if (u == v || rng.uniform01() >= edge_p) continue;
-        add_edge_both(u, v);
-      }
   }
 
-  void add_edge_both(NodeId u, NodeId v) {
-    seq.on_edge_added(g_seq, u, v);
-    g_seq.add_edge(u, v);
-    batch.on_edge_added(g_batch, u, v);
-    g_batch.add_edge(u, v);
+  /// Applies one fan (reported before the digraph changes, as the protocol
+  /// requires) and checks it against the phase oracle: the resulting state
+  /// equals a from-scratch build, and the journal gained exactly two
+  /// entries per zero crossing, naming the crossing pairs' endpoints.
+  void apply_and_check(bool out, bool add, NodeId hub,
+                       const std::vector<NodeId>& others) {
+    const ConflictGraph before = ConflictGraph::build_from(g);
+    const std::uint64_t revision = cg.revision();
+    if (out && add) cg.on_out_edges_added(g, hub, others);
+    if (out && !add) cg.on_out_edges_removed(g, hub, others);
+    if (!out && add) cg.on_in_edges_added(g, others, hub);
+    if (!out && !add) cg.on_in_edges_removed(g, others, hub);
+    for (NodeId w : others) {
+      const NodeId from = out ? hub : w;
+      const NodeId to = out ? w : hub;
+      if (add) {
+        g.add_edge(from, to);
+      } else {
+        g.remove_edge(from, to);
+      }
+    }
+    const ConflictGraph after = ConflictGraph::build_from(g);
+    ASSERT_NO_FATAL_FAILURE(expect_same(cg, after));
+    std::vector<NodeId> expected;
+    append_crossings(before, after, expected);
+    std::sort(expected.begin(), expected.end());
+    ASSERT_NO_FATAL_FAILURE(expect_journal(cg, revision, expected));
   }
 };
-
-std::vector<NodeId> sorted_dirty_since(const ConflictGraph& cg,
-                                       std::uint64_t since) {
-  std::vector<NodeId> dirty;
-  EXPECT_TRUE(cg.append_dirty_since(since, dirty));
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  return dirty;
-}
 
 TEST(ConflictGraphBatch, FanAddAndRemoveEqualSequentialEdgeDeltas) {
   Rng rng(321);
@@ -278,46 +391,68 @@ TEST(ConflictGraphBatch, FanAddAndRemoveEqualSequentialEdgeDeltas) {
     const NodeId u = static_cast<NodeId>(rng.below(n));
     std::vector<NodeId> targets;
     for (NodeId v = 0; v < n; ++v)
-      if (v != u && !fx.g_seq.has_edge(u, v)) targets.push_back(v);
+      if (v != u && !fx.g.has_edge(u, v)) targets.push_back(v);
     if (targets.empty()) continue;
 
-    const std::uint64_t seq_rev = fx.seq.revision();
-    const std::uint64_t batch_rev = fx.batch.revision();
-
-    for (NodeId v : targets) {
-      fx.seq.on_edge_added(fx.g_seq, u, v);
-      fx.g_seq.add_edge(u, v);
-    }
-    fx.batch.on_out_edges_added(fx.g_batch, u, targets);
-    for (NodeId v : targets) fx.g_batch.add_edge(u, v);
-
-    ASSERT_NO_FATAL_FAILURE(expect_same(fx.batch, fx.seq)) << "round " << round;
-    // Same number of journal marks (the dirty-fraction heuristics depend on
-    // it) and the same dirty set.
-    EXPECT_EQ(fx.batch.revision() - batch_rev, fx.seq.revision() - seq_rev);
-    EXPECT_EQ(sorted_dirty_since(fx.batch, batch_rev),
-              sorted_dirty_since(fx.seq, seq_rev));
-
-    // And back out: the batched removal retracts exactly what the
-    // sequential protocol does.
-    for (NodeId v : targets) {
-      fx.seq.on_edge_removed(fx.g_seq, u, v);
-      fx.g_seq.remove_edge(u, v);
-    }
-    fx.batch.on_out_edges_removed(fx.g_batch, u, targets);
-    for (NodeId v : targets) fx.g_batch.remove_edge(u, v);
-    ASSERT_NO_FATAL_FAILURE(expect_same(fx.batch, fx.seq)) << "round " << round;
-    EXPECT_EQ(fx.batch.pair_count(), fx.seq.pair_count());
+    ASSERT_NO_FATAL_FAILURE(fx.apply_and_check(true, true, u, targets))
+        << "round " << round;
+    // And back out: the batched removal retracts exactly what it added.
+    ASSERT_NO_FATAL_FAILURE(fx.apply_and_check(true, false, u, targets))
+        << "round " << round;
   }
+}
+
+TEST(ConflictGraphBatch, InFanAddAndRemoveMatchThePhaseOracle) {
+  Rng rng(654);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t n = 6 + static_cast<std::size_t>(rng.below(10));
+    FanFixture fx(n, rng, rng.uniform(0.1, 0.5));
+    const NodeId v = static_cast<NodeId>(rng.below(n));
+
+    // New senders into v; the existing ones form K, whose rows gain S.
+    std::vector<NodeId> senders;
+    for (NodeId w = 0; w < n; ++w)
+      if (w != v && !fx.g.has_edge(w, v) && rng.uniform01() < 0.6)
+        senders.push_back(w);
+    ASSERT_NO_FATAL_FAILURE(fx.apply_and_check(false, true, v, senders))
+        << "round " << round;
+
+    // Retract a random subset of all senders, so K keeps some old and some
+    // new ones.
+    std::vector<NodeId> retract;
+    for (NodeId w : fx.g.in_neighbors(v))
+      if (rng.uniform01() < 0.5) retract.push_back(w);
+    ASSERT_NO_FATAL_FAILURE(fx.apply_and_check(false, false, v, retract))
+        << "round " << round;
+  }
+}
+
+TEST(ConflictGraphBatch, FanPreconditionsAreChecked) {
+  Rng rng(9);
+  FanFixture fx(5, rng, 0.0);
+  fx.cg.on_out_edges_added(fx.g, 0, std::vector<NodeId>{1});
+  fx.g.add_edge(0, 1);
+  const std::vector<NodeId> present{0};
+  const std::vector<NodeId> absent{2};
+  const std::vector<NodeId> unsorted{3, 2};
+  EXPECT_THROW(fx.cg.on_in_edges_added(fx.g, present, 1), std::invalid_argument);
+  EXPECT_THROW(fx.cg.on_in_edges_removed(fx.g, absent, 1), std::invalid_argument);
+  EXPECT_THROW(fx.cg.on_in_edges_added(fx.g, unsorted, 1), std::invalid_argument);
+  EXPECT_THROW(fx.cg.on_out_edges_added(fx.g, 0, std::vector<NodeId>{1}),
+               std::invalid_argument);
+  EXPECT_THROW(fx.cg.on_out_edges_removed(fx.g, 0, std::vector<NodeId>{2}),
+               std::invalid_argument);
 }
 
 TEST(ConflictGraphBatch, EmptyFanIsANoOp) {
   Rng rng(5);
   FanFixture fx(6, rng);
-  const std::uint64_t revision = fx.batch.revision();
-  fx.batch.on_out_edges_added(fx.g_batch, 0, {});
-  fx.batch.on_out_edges_removed(fx.g_batch, 0, {});
-  EXPECT_EQ(fx.batch.revision(), revision);
+  const std::uint64_t revision = fx.cg.revision();
+  fx.cg.on_out_edges_added(fx.g, 0, {});
+  fx.cg.on_out_edges_removed(fx.g, 0, {});
+  fx.cg.on_in_edges_added(fx.g, {}, 0);
+  fx.cg.on_in_edges_removed(fx.g, {}, 0);
+  EXPECT_EQ(fx.cg.revision(), revision);
 }
 
 }  // namespace

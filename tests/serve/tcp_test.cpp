@@ -54,6 +54,17 @@ class Client {
 
   void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
+  /// Reads until `count` response lines have arrived (or the peer closes).
+  std::string read_lines(std::size_t count) {
+    std::string all;
+    char ch;
+    while (count > 0 && ::recv(fd_, &ch, 1, 0) == 1) {
+      all.push_back(ch);
+      if (ch == '\n') --count;
+    }
+    return all;
+  }
+
   std::string read_to_eof() {
     std::string all;
     char chunk[4096];
@@ -154,6 +165,78 @@ TEST(TcpServerTransport, StripsCarriageReturnsFromClients) {
             "ok 1 join node=0 recoded=1 maxc=1 live=1 fallback=0\n"
             "stats live=1 joined=1 maxc=1 colors=1 events=1 recodings=1\n"
             "bye\n");
+}
+
+TEST(TcpServerTransport, OverlongLineIsAnsweredAndDrained) {
+  TcpServerTransport transport(0);
+  AssignmentEngine engine{std::string("minim")};
+  SessionStats stats;
+  std::thread server([&] {
+    stats = serve_session(engine, transport);
+    transport.disconnect();
+  });
+
+  std::string answers;
+  std::string after_quit;
+  {
+    Client client(transport.port());
+    if (!client.connected()) {
+      server.detach();
+      FAIL() << "connect: " << std::strerror(errno);
+    }
+    // 1 MiB with no newline, then a valid line: the first is refused, the
+    // second served, and the session stays up for the next request.
+    client.send_all(std::string(std::size_t{1} << 20, 'x'));
+    client.send_all("\njoin 10 10 20\n");
+    answers = client.read_lines(2);
+    client.send_all("stats\n");
+    answers += client.read_lines(1);
+    client.shutdown_write();
+    after_quit = client.read_to_eof();
+  }
+  server.join();
+
+  EXPECT_EQ(answers,
+            "err line=1 line too long\n"
+            "ok 1 join node=0 recoded=1 maxc=1 live=1 fallback=0\n"
+            "stats live=1 joined=1 maxc=1 colors=1 events=1 recodings=1\n");
+  EXPECT_EQ(after_quit, "");
+  EXPECT_EQ(stats.lines, 3u);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.events, 1u);
+  // The overlong line was never buffered whole.
+  EXPECT_LE(transport.receive_capacity(), 4 * kMaxLineBytes);
+}
+
+TEST(TcpServerTransport, LinesUpToTheLimitAreServed) {
+  // A line of exactly kMaxLineBytes (a comment, so it needs no answer) is a
+  // request; one byte more is refused — whether it ends in "\r\n" or not.
+  TcpServerTransport transport(0);
+  AssignmentEngine engine{std::string("minim")};
+  std::thread server([&] {
+    serve_session(engine, transport);
+    transport.disconnect();
+  });
+
+  std::string responses;
+  {
+    Client client(transport.port());
+    if (!client.connected()) {
+      server.detach();
+      FAIL() << "connect: " << std::strerror(errno);
+    }
+    const std::string longest = "#" + std::string(kMaxLineBytes - 1, 'c');
+    client.send_all(longest + "\r\n" + longest + "c\r\n" + longest + "c\n" +
+                    "stats");
+    client.shutdown_write();
+    responses = client.read_to_eof();
+  }
+  server.join();
+
+  EXPECT_EQ(responses,
+            "err line=2 line too long\n"
+            "err line=3 line too long\n"
+            "stats live=0 joined=0 maxc=0 colors=0 events=0 recodings=0\n");
 }
 
 }  // namespace
