@@ -12,6 +12,7 @@
 //   --fast         shorthand for --runs=10 (CI smoke)
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,6 +117,34 @@ inline std::vector<double> double_list_from(const util::Options& options,
   return values;
 }
 
+/// Upper bound on `--recolor-threads`: the recolor pool starts that many
+/// threads, so a typo must not ask the OS for thousands.
+inline constexpr std::size_t kMaxRecolorThreads = 256;
+
+/// Parses one `--recolor-threads` value: digits only, 0 (one thread per
+/// hardware core) or 1..kMaxRecolorThreads.  Empty for anything else.
+inline std::optional<std::size_t> parse_recolor_threads(const std::string& text) {
+  if (text.empty() || text.size() > 4 ||
+      !std::all_of(text.begin(), text.end(),
+                   [](unsigned char c) { return std::isdigit(c) != 0; }))
+    return std::nullopt;
+  const std::size_t threads = std::stoul(text);
+  if (threads > kMaxRecolorThreads) return std::nullopt;
+  return threads;
+}
+
+/// `parse_recolor_threads` at the CLI boundary: prints why and exits 2 on
+/// an invalid value.
+inline std::size_t recolor_threads_or_exit(const std::string& text) {
+  const std::optional<std::size_t> threads = parse_recolor_threads(text);
+  if (!threads) {
+    std::cerr << "--recolor-threads=" << text << ": want 0 (one per core) or 1.."
+              << kMaxRecolorThreads << "\n";
+    std::exit(2);
+  }
+  return *threads;
+}
+
 inline sim::SweepOptions sweep_options_from(const util::Options& options,
                                             std::vector<std::string> strategies) {
   sim::SweepOptions sweep;
@@ -185,8 +215,7 @@ inline const std::vector<std::string>& orchestrate_keys() {
 /// one of these would fight the driver over files/stdout.
 inline const std::vector<std::string>& driver_output_keys() {
   static const std::vector<std::string> keys{
-      "csv-dir", "save-experiment", "serial-check", "selfcheck",
-      "shard",   "merge",           "out",          "threads"};
+      "csv-dir", "save-experiment", "serial-check", "out", "threads"};
   return keys;
 }
 

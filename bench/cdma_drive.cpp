@@ -36,8 +36,8 @@
 //   --port=P            TCP port for --transport=tcp (default 0 = ephemeral)
 //   --strategy=NAME     recoding strategy (default minim)
 //   --recolor-threads=N component-parallel batched recoloring for
-//                       bbb-bounded (1 = serial, 0 = hardware cores);
-//                       bit-identical results at every setting
+//                       bbb-bounded (1 = serial, 0 = hardware cores, at
+//                       most 256); bit-identical results at every setting
 //   --validate          CA1/CA2 check after every event (slow)
 //   --quiet             ingest without response lines
 //   --flush-each        apply + flush per request line (no pipelining)
@@ -263,8 +263,8 @@ int run_serve(const util::Options& options) {
   const std::string strategy = options.get("strategy", "minim");
   serve::AssignmentEngine::Params params;
   params.validate = options.has("validate");
-  params.recolor_threads = static_cast<std::size_t>(
-      std::max<long long>(0, options.get_int("recolor-threads", 1)));
+  params.recolor_threads =
+      bench::recolor_threads_or_exit(options.get("recolor-threads", "1"));
   serve::AssignmentEngine engine(strategy, params);
 
   const std::string kind = options.get("transport", "stdin");

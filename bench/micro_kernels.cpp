@@ -213,39 +213,43 @@ void BM_GreedyColorScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyColorScratch);
 
-// ---- BBB event handling: dirty-region vs from-scratch recolor ----
+// ---- BBB event handling: incremental repair vs from-scratch recolor ----
 
-void bbb_power_toggle_loop(benchmark::State& state, bool incremental) {
-  // Sparser deployment (200 nodes, ranges 10-15) so a power toggle dirties
-  // a genuinely local region; dense fields degrade to the full path by the
-  // fallback threshold and measure identically.
+/// Toggles one node's range per iteration over a sparse deployment (200
+/// nodes, ranges 10-15) so a power toggle dirties a genuinely local region;
+/// dense fields degrade to the full path by the fallback threshold and
+/// measure identically.  `bbb` repairs each event; null recolors the whole
+/// network with `color_network` instead.
+void bbb_power_toggle_loop(benchmark::State& state, strategies::BbbStrategy* bbb) {
   util::Rng rng(18);
   auto network = random_network(200, 10.5, 15.5, rng);
   net::CodeAssignment assignment;
-  strategies::BbbStrategy::Params params;
-  params.incremental = incremental;
-  strategies::BbbStrategy bbb(strategies::ColoringOrder::kSmallestLast, params);
+  strategies::color_network(network, strategies::ColoringOrder::kSmallestLast,
+                            assignment);
   const auto nodes = network.nodes();
-  // Seed the strategy's state with one full recolor.
-  bbb.on_join(network, assignment, nodes.back());
   std::size_t i = 0;
   for (auto _ : state) {
     const net::NodeId v = nodes[i % nodes.size()];
     const double old_range = network.config(v).range;
     network.set_range(v, old_range < 13.0 ? old_range * 1.1 : old_range / 1.1);
-    const auto report = bbb.on_power_change(network, assignment, v, old_range);
-    benchmark::DoNotOptimize(report.changes.size());
+    if (bbb != nullptr)
+      benchmark::DoNotOptimize(
+          bbb->on_power_change(network, assignment, v, old_range).changes.size());
+    else
+      benchmark::DoNotOptimize(strategies::color_network(
+          network, strategies::ColoringOrder::kSmallestLast, assignment));
     ++i;
   }
 }
 
 void BM_BbbEventFullRecolor(benchmark::State& state) {
-  bbb_power_toggle_loop(state, /*incremental=*/false);
+  bbb_power_toggle_loop(state, nullptr);
 }
 BENCHMARK(BM_BbbEventFullRecolor)->Unit(benchmark::kMicrosecond);
 
 void BM_BbbEventDirtyRegion(benchmark::State& state) {
-  bbb_power_toggle_loop(state, /*incremental=*/true);
+  strategies::BbbStrategy bbb(strategies::ColoringOrder::kSmallestLast);
+  bbb_power_toggle_loop(state, &bbb);
 }
 BENCHMARK(BM_BbbEventDirtyRegion)->Unit(benchmark::kMicrosecond);
 

@@ -40,7 +40,8 @@
 //   --storm-rounds=N    power-raise storms (default 200; 20 with --smoke)
 //   --batch-sizes=...   batch sweep sizes (default 1,8,64,512)
 //   --recolor-threads=... recolor thread counts for the batch sweep
-//                       (default 1; e.g. 1,2,4)
+//                       (default 1; e.g. 1,2,4; 0 = hardware cores; at
+//                       most 256)
 //   --seed=S            workload seed (default 2001)
 //   --smoke             CI-sized defaults for everything above
 //   --append            append a labeled entry to the trajectory
@@ -299,12 +300,10 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> batch_sizes;
   for (const double b : batch_size_list)
     batch_sizes.push_back(std::max<std::size_t>(1, static_cast<std::size_t>(b)));
-  const std::vector<double> threads_list =
-      bench::double_list_from(options, "recolor-threads", {1});
   std::vector<std::size_t> recolor_threads;
-  for (const double t : threads_list)
-    recolor_threads.push_back(
-        std::max<std::size_t>(1, static_cast<std::size_t>(t)));
+  for (const std::string& raw :
+       bench::string_list_from(options, "recolor-threads", {"1"}))
+    recolor_threads.push_back(bench::recolor_threads_or_exit(raw));
 
   const bool check = options.has("check");
   const std::string out_path = options.get("out", "BENCH_sweep.json");

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/strategy.hpp"
@@ -21,63 +20,69 @@
 /// color index (it ignores history and colors from scratch) but pathological
 /// in #recodings, which is exactly the contrast Figures 10-12 show.
 ///
-/// ## Dirty-region recoloring
+/// ## Incremental repair: one propagation kernel, two rank sources
 ///
 /// Recoloring from scratch per event made BBB dominate every wall-clock
-/// profile.  This implementation instead *replays* the from-scratch greedy
-/// incrementally: it keeps the previous output (colors + ordering
-/// positions), asks the network's cached conflict graph which nodes'
-/// conflict neighborhoods changed since, and recomputes a node's color only
-/// when its
-/// adjacency changed, its relative order with a neighbor flipped, or an
-/// earlier-ordered neighbor's color changed — classic change propagation
-/// over the greedy's dependency order.  Every kept color provably equals
-/// what the from-scratch greedy would assign, so reports and max colors are
-/// bit-identical to the full recolor (the equivalence is soaked in
-/// tests/strategies/bbb_incremental_test.cpp).  When the dirty set exceeds
-/// `Params::full_recolor_fraction` of the network — or the journal window
-/// is gone, or the order is DSATUR (whose dynamic ordering has no static
-/// dependency structure) — it falls back to the from-scratch path.
+/// profile.  This implementation instead *replays* the greedy incrementally.
+/// It keeps the previous output (colors, plus order positions for the
+/// canonical orders), asks the network's cached conflict graph which nodes'
+/// conflict neighborhoods changed since, seeds a min-heap keyed by rank with
+/// those nodes, and pops ranks in non-decreasing order: each popped node
+/// recomputes its lowest-free color from its earlier-ranked neighbors, and
+/// only a node whose color actually changed pushes its later-ranked
+/// neighbors.  The pop order guarantees every earlier-ranked color read is
+/// final, so the result is bit-identical to a from-scratch greedy over the
+/// same ranks.  Work per event is O(popped ranks · degree) on top of
+/// whatever the rank source costs.  The ranks come from one of two places:
 ///
-/// ## Rank-bounded propagation
+/// * **Canonical orders** (`bbb`, and the largest-first and identity
+///   variants) rank by the *fresh* position of every live node in this
+///   event's from-scratch coloring order.  Besides the journal-dirty nodes,
+///   the heap is seeded with every node whose relative order against a
+///   conflict neighbor flipped since the previous event (or whose neighbor
+///   is new): such a node reads a different earlier-neighbor set even though
+///   its adjacency did not change.  Reports and max colors are bit-identical
+///   to the full recolor (soaked in tests/strategies/bbb_incremental_test.cpp
+///   against `color_network` called directly).  Computing the fresh order
+///   and the flip seeds is O(V+E) per event.
+/// * **`bbb-bounded`** (`Params::bounded_propagation`, smallest-last only)
+///   ranks by the orderer's persistent rank index (see ordering.hpp), which
+///   absorbs each event locally and never reorders survivors, so the journal
+///   dirty set alone seeds the heap and no per-event O(n) term is left.  The
+///   result is bit-identical to a from-scratch greedy over the *maintained*
+///   sequence (the fuzz harness in tests/strategies/bbb_bounded_fuzz_test.cpp
+///   holds it to that per event).  The maintained sequence drifts from true
+///   smallest-last between rebuilds; the coloring-quality cost of that drift
+///   is an explicit, gated metric — not silent.  Propagation is capped at
+///   `Params::propagation_slack` × live nodes; exceeding the cap, or a rank
+///   drift refusal, runs the from-scratch path, which reseeds the rank index.
 ///
-/// Dirty-region recoloring still *walks* the full stored order per event to
-/// find the nodes worth recomputing — the last per-event O(n) term.  With
-/// `Params::bounded_propagation` the walk disappears: the orderer maintains
-/// a persistent rank index (see ordering.hpp), the event's journal-dirty
-/// nodes seed a min-heap keyed by rank, and propagation pops ranks in
-/// non-decreasing order, recomputing a node's lowest-free color from its
-/// earlier-ranked neighbors and pushing only the later-ranked neighbors of
-/// nodes whose color actually changed.  The pop order guarantees every
-/// earlier-ranked color read is final, so the result is bit-identical to a
-/// from-scratch greedy over the *maintained* sequence (the fuzz harness in
-/// tests/strategies/bbb_bounded_fuzz_test.cpp holds it to that per event).
-/// The maintained sequence itself drifts from true smallest-last between
-/// rebuilds; the coloring-quality cost of that drift is an explicit,
-/// gated metric — not silent.  Work per event is O(popped ranks · degree),
-/// capped at `Params::propagation_slack` × live nodes; exceeding the cap —
-/// or any journal/drift fallback — runs the from-scratch path, which
-/// reseeds the rank index.
+/// Either way the event falls back to the from-scratch path when the dirty
+/// set exceeds `Params::full_recolor_fraction` of the live nodes, when the
+/// journal window is gone, or when the assignment was mutated behind the
+/// strategy's back (the canonical path checks every live node, the bounded
+/// path only the dirty region).  DSATUR's dynamic ordering has no static
+/// dependency structure, so it always recolors from scratch.
 ///
 /// ## Parallel recoloring (`Params::recolor_threads`)
 ///
 /// A batch's dirty set often spans spatially distant regions whose
-/// propagations cannot interact.  With `recolor_threads > 1` the bounded
-/// path first decomposes the forward closure of the dirty seeds under
+/// propagations cannot interact.  With `recolor_threads > 1` the kernel
+/// first decomposes the forward closure of the heap seeds under
 /// rank-increasing conflict edges into connected components
 /// (strategies/components.hpp) and recolors each component on its own
 /// thread.  Components share no conflict edge inside the closure and edges
 /// leaving the closure reach only *earlier-ranked* colors — final for this
 /// event, read-only everywhere — so per-component heap propagation writes
-/// disjoint id slots of the shared epoch arrays, and the merged, id-sorted
-/// change list is bit-identical to the serial pass regardless of thread
-/// schedule.  The closure walk is capped at the propagation budget: a
+/// disjoint id slots of the shared stamp and color arrays, and the merged,
+/// id-sorted change list is bit-identical to the serial pass regardless of
+/// thread schedule.  The closure walk is capped at the propagation budget: a
 /// closure within the budget proves the serial pass could not have hit its
 /// slack bailout either, so threads=N and threads=1 take the *same*
 /// absorb/fallback decisions on every event.  Demotion ladder: closure cap
 /// exceeded or a single component → the serial heap (this event stays
-/// bounded); serial budget/drift/journal refusals → the from-scratch path,
-/// exactly as before.  The fuzz harness in
+/// incremental); serial budget/drift/journal refusals → the from-scratch
+/// path.  The fuzz harness in
 /// tests/strategies/bbb_parallel_fuzz_test.cpp holds parallel ≡ serial to
 /// bit-identical colors *and* maintained ranks across batched streams.
 
@@ -87,46 +92,37 @@ class BbbStrategy final : public core::RecodingStrategy {
  public:
   /// Recoloring engine knobs; the defaults are the production behavior.
   struct Params {
-    /// Dirty-region change propagation (bit-identical to full recolor).
-    /// Disable to force the from-scratch path on every event — the
-    /// reference the equivalence tests compare against.
-    bool incremental = true;
-    /// Fall back to a full recolor when more than this fraction of the
-    /// live nodes had conflict-neighborhood changes.
+    /// Fall back to a full recolor when the event's deduped dirty set
+    /// (departures included) exceeds this fraction of the live nodes.
     double full_recolor_fraction = 0.5;
-    /// Serve the smallest-last ordering from the journal-synced
-    /// `DegeneracyOrderer` (bit-identical to from-scratch
-    /// `graph::smallest_last_order`).  Disable to recompute the ordering
-    /// from an adjacency scan per event — the soak reference.
-    bool incremental_order = true;
-    /// The orderer's full-degree-rebuild threshold
-    /// (`DegeneracyOrderer::Params::rebuild_fraction`).
-    double order_rebuild_fraction = 0.25;
-    /// Rank-bounded propagation: replace the per-event full-order walk with
-    /// a heap over maintained ranks (smallest-last only; see the file
-    /// comment).  Bit-identical to a from-scratch greedy over the
-    /// maintained sequence; order *quality* may drift between rebuilds.
+    /// Rank-bounded propagation: rank by the maintained rank index instead
+    /// of a fresh per-event order (smallest-last only; see the file
+    /// comment).  Bit-identical to a from-scratch greedy over the maintained
+    /// sequence; order *quality* may drift between rebuilds.
     bool bounded_propagation = false;
     /// Per-event propagation budget as a fraction of the live node count
-    /// (floor 32 processed ranks).  Exceeding it abandons the event to the
-    /// from-scratch path — the escape hatch for recolor storms.
+    /// (floor 32 processed ranks), bounded mode only.  Exceeding it abandons
+    /// the event to the from-scratch path — the escape hatch for recolor
+    /// storms.
     double propagation_slack = 0.25;
     /// The orderer's maintained-rank drift bound
     /// (`DegeneracyOrderer::Params::rank_rebuild_fraction`).
     double rank_rebuild_fraction = 0.25;
-    /// Component-parallel bounded recoloring: decompose the batch's dirty
+    /// Component-parallel recoloring: decompose the batch's propagation
     /// closure into independent components and recolor them concurrently
     /// (see the file comment).  1 = serial (default), 0 = one thread per
     /// hardware core.  Results are bit-identical at every setting.
     std::size_t recolor_threads = 1;
   };
 
-  /// Where bounded-mode events went (all zero unless `bounded_propagation`).
+  /// Where events went.  `bounded_events`, `full_events` and `full_ranks`
+  /// count bounded mode only; the kernel counters (`processed_ranks`,
+  /// `slack_bailouts`, `parallel_*`) count every incremental repair.
   struct Counters {
     std::uint64_t events = 0;          ///< recolor events served (any mode)
     std::uint64_t bounded_events = 0;  ///< absorbed by rank-bounded propagation
     std::uint64_t full_events = 0;     ///< fell back to the from-scratch path
-    std::uint64_t processed_ranks = 0; ///< heap pops across bounded events
+    std::uint64_t processed_ranks = 0; ///< heap pops across incremental repairs
     std::uint64_t full_ranks = 0;      ///< live nodes walked by full events
     std::uint64_t slack_bailouts = 0;  ///< budget exceeded mid-propagation
     // Component-parallel mode (zero unless `recolor_threads` resolves > 1).
@@ -140,9 +136,8 @@ class BbbStrategy final : public core::RecodingStrategy {
   BbbStrategy(ColoringOrder order, Params params)
       : order_(order),
         params_(params),
-        orderer_(DegeneracyOrderer::Params{params.incremental_order,
-                                           params.order_rebuild_fraction,
-                                           params.rank_rebuild_fraction}) {}
+        orderer_(DegeneracyOrderer::Params{
+            .rank_rebuild_fraction = params.rank_rebuild_fraction}) {}
 
   std::string name() const override;
 
@@ -184,11 +179,16 @@ class BbbStrategy final : public core::RecodingStrategy {
   }
 
  private:
-  static constexpr std::uint32_t kNoPos = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kNoRank = DegeneracyOrderer::kNoRank;
+
+  /// True when events rank by the maintained rank index (`bbb-bounded`).
+  bool bounded_mode() const {
+    return params_.bounded_propagation && order_ == ColoringOrder::kSmallestLast;
+  }
 
   /// The coloring sequence of this event, served from the maintained
-  /// orderer for smallest-last (when enabled) and from
-  /// `coloring_sequence` otherwise.  Returns a reference to `seq_`.
+  /// orderer for smallest-last and from `coloring_sequence` otherwise.
+  /// Returns a reference to `seq_`.
   const std::vector<net::NodeId>& sequence_for(const net::AdhocNetwork& net,
                                                const std::vector<net::NodeId>& nodes);
 
@@ -204,41 +204,59 @@ class BbbStrategy final : public core::RecodingStrategy {
                                     std::span<const net::NodeId> joiners = {},
                                     std::span<const net::NodeId> reborn = {});
 
-  /// The dirty-region path.  Returns false — without touching `assignment`
-  /// — when the cached state cannot prove equivalence (unknown network,
-  /// trimmed journal, externally mutated assignment, dirty set too large);
-  /// the caller then runs the from-scratch path.
+  /// The incremental repair (see the file comment): picks the rank source
+  /// and seeds, runs the propagation kernel, applies the changes and rolls
+  /// the snapshot forward.  Returns false — without touching `assignment` —
+  /// when the event can't be absorbed (unknown network, trimmed journal,
+  /// mutated assignment, dirty set or propagation budget exceeded, rank
+  /// drift demanding a rebuild); the caller then runs the from-scratch path.
   bool incremental_recolor(const net::AdhocNetwork& net,
                            net::CodeAssignment& assignment,
-                           const std::vector<net::NodeId>& nodes,
-                           core::RecodeReport& report);
+                           core::RecodeReport& report, std::size_t batch_events,
+                           std::span<const net::NodeId> joiners,
+                           std::span<const net::NodeId> reborn);
 
-  /// One propagation frontier's working state: the min-rank heap, the nodes
-  /// whose color changed, the free-color scratch, and the pop count.  The
+  /// Canonical-order seeding: computes this event's fresh order into `pos_`
+  /// and appends to `seeds_` every live node that is not journal-dirty but
+  /// whose relative order against a conflict neighbor flipped (or whose
+  /// neighbor is unseen).  Returns false when a live node's color differs
+  /// from the snapshot (a foreign mutation).
+  bool seed_order_flips(const net::AdhocNetwork& net,
+                        const net::CodeAssignment& assignment);
+
+  /// One propagation frontier's working state: the min-rank heap, the color
+  /// changes it made, the free-color and later-neighbor scratch, and the pop
+  /// count.  The
   /// serial path owns one (`frontier_`); the parallel path one per
   /// component (`comp_frontiers_`) so threads never share heap state.
   struct Frontier {
-    std::vector<std::pair<std::uint32_t, net::NodeId>> heap;  ///< (rank, id)
-    std::vector<net::NodeId> changed;
+    std::vector<std::uint64_t> heap;  ///< rank << 32 | id
+    std::vector<core::Recode> changed;
+    std::vector<std::uint64_t> later;  ///< the popped node's unqueued successors
     ColorScratch scratch;
     std::size_t processed = 0;
   };
 
-  /// Heap propagation from `seeds` over the maintained ranks, writing event
-  /// colors into the shared epoch-stamped overlays.  Returns false when the
+  /// Heap propagation from `seeds` (deduped, all ranked) over the id-indexed
+  /// `ranks` (`kNoRank` = unranked; covers every id).  Each changed color is
+  /// written straight into `last_colors_` and recorded in
+  /// `frontier.changed` with its old color.  Each id is queued at most once
+  /// per event: `seen_epoch_` is stamped at push.  Returns false when the
   /// pop count would exceed `budget` (frontier state then reflects exactly
-  /// `budget` completed pops; the overlays carry partial writes the caller
-  /// must treat as abandoned).  Thread-safe across *disjoint components*:
-  /// all shared writes land at the frontier's own member ids.
-  bool propagate(const net::ConflictGraph& cg, std::span<const net::NodeId> seeds,
-                 std::size_t budget, Frontier& frontier);
+  /// `budget` completed pops; the caller rolls `frontier.changed` back out
+  /// of `last_colors_`).  Thread-safe across *disjoint components*: all
+  /// shared writes land at the component's own member ids.
+  bool propagate(const net::ConflictGraph& cg, std::span<const std::uint32_t> ranks,
+                 std::span<const net::NodeId> seeds, std::size_t budget,
+                 Frontier& frontier);
 
-  /// The component-parallel bounded pass: decompose `live_dirty_`'s forward
-  /// closure (cap = `budget`), recolor each component on the pool, merge
-  /// change lists into `changed_list_` and pop counts into `processed`.
-  /// Returns false — demoting to the serial heap — when the closure exceeds
-  /// the budget or yields fewer than two components.
-  bool parallel_propagate(const net::ConflictGraph& cg, std::size_t budget,
+  /// The component-parallel pass: decompose `seeds_`'s forward closure
+  /// under `ranks` (cap = `budget`), recolor each component on the pool,
+  /// merge change lists into `changed_list_` and pop counts into
+  /// `processed`.  Returns false — demoting to the serial heap — when the
+  /// closure exceeds the budget or yields fewer than two components.
+  bool parallel_propagate(const net::ConflictGraph& cg,
+                          std::span<const std::uint32_t> ranks, std::size_t budget,
                           std::size_t& processed);
 
   /// `Params::recolor_threads` with 0 resolved to the hardware core count.
@@ -247,27 +265,6 @@ class BbbStrategy final : public core::RecodingStrategy {
   /// (the caller participates in `parallel_for`, so N-way concurrency needs
   /// N-1 workers).
   void ensure_pool();
-
-  /// The rank-bounded path (`Params::bounded_propagation`).  Returns false
-  /// — without touching `assignment` — when the event can't be absorbed
-  /// (unknown network, trimmed journal, mutated assignment, dirty set or
-  /// propagation budget exceeded, rank drift demanding a rebuild); the
-  /// caller then runs the from-scratch path, which reseeds the rank index.
-  /// Never touches the full node set: per-event work is O(dirty + popped
-  /// ranks · degree).
-  bool bounded_recolor(const net::AdhocNetwork& net,
-                       net::CodeAssignment& assignment,
-                       core::RecodeReport& report, std::size_t batch_events,
-                       std::span<const net::NodeId> joiners,
-                       std::span<const net::NodeId> reborn);
-
-  /// This event's working color of `v`: the propagation result when `v` was
-  /// recomputed this event, the snapshot color otherwise.
-  net::Color event_color(net::NodeId v) const {
-    return v < event_color_epoch_.size() && event_color_epoch_[v] == epoch_
-               ? event_colors_[v]
-               : snapshot_color(v);
-  }
 
   /// Records this event's output (colors + ordering positions + journal
   /// revision) as the base of the next event's change propagation.
@@ -284,8 +281,8 @@ class BbbStrategy final : public core::RecodingStrategy {
   Counters counters_;
 
   // Previous output (valid when last_net_ != nullptr): id-indexed colors
-  // and greedy-order positions, plus the conflict-journal revision they
-  // correspond to.
+  // and, for the canonical orders, greedy-order positions, plus the
+  // conflict-journal revision they correspond to.
   const net::AdhocNetwork* last_net_ = nullptr;
   std::uint64_t last_revision_ = 0;
   std::vector<net::Color> last_colors_;
@@ -295,26 +292,20 @@ class BbbStrategy final : public core::RecodingStrategy {
   std::vector<net::NodeId> dirty_;
   std::vector<net::NodeId> nodes_;
   std::vector<net::NodeId> seq_;
-  std::vector<std::uint32_t> pos_;
-  std::vector<net::Color> new_colors_;
-  std::vector<std::uint8_t> adj_dirty_;
-  std::vector<std::uint8_t> changed_;
+  std::vector<std::uint32_t> pos_;  ///< this event's fresh positions (canonical)
   std::vector<net::Color> old_colors_;
-  ColorScratch scratch_;
   DegeneracyOrderer orderer_;
 
-  // Rank-bounded propagation scratch.  The epoch stamp makes per-event
-  // resets O(1): a slot belongs to this event iff its stamp equals epoch_.
-  // During a parallel pass the epoch arrays are shared across component
-  // threads, but each thread writes only its own component's id slots (the
-  // vectors are pre-sized before the fan-out, so no reallocation races).
+  // Propagation scratch.  The epoch stamp makes per-event resets O(1): a
+  // slot belongs to this event iff its stamp equals epoch_.  During a
+  // parallel pass `seen_epoch_` and `last_colors_` are shared across
+  // component threads, but each thread writes only its own component's id
+  // slots (both are pre-sized before the fan-out, so no reallocation races).
   std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> seen_epoch_;         ///< node processed this event
-  std::vector<std::uint32_t> event_color_epoch_;  ///< event_colors_[v] valid
-  std::vector<net::Color> event_colors_;
-  std::vector<net::NodeId> live_dirty_;   ///< this event's live, ranked seeds
-  std::vector<net::NodeId> changed_list_; ///< merged changes, sorted for apply
-  Frontier frontier_;                     ///< the serial propagation frontier
+  std::vector<std::uint32_t> seen_epoch_;   ///< node queued this event
+  std::vector<net::NodeId> seeds_;          ///< this event's heap seeds
+  std::vector<core::Recode> changed_list_;  ///< merged changes, sorted for apply
+  Frontier frontier_;                       ///< the serial propagation frontier
 
   // Component-parallel machinery (idle unless recolor_threads resolves > 1).
   DirtyComponents components_;

@@ -9,9 +9,9 @@
 /// \file components.hpp
 /// \brief Connected components of the rank-bounded propagation frontier.
 ///
-/// Rank-bounded BBB propagation (bbb.cpp) pops dirty nodes in non-decreasing
-/// maintained rank and, when a node's color changes, pushes only its
-/// *later-ranked* conflict neighbors.  The set of nodes such a propagation
+/// BBB's propagation kernel (bbb.cpp) pops dirty nodes in non-decreasing
+/// rank and, when a node's color changes, pushes only its *later-ranked*
+/// conflict neighbors.  The set of nodes such a propagation
 /// can ever touch is therefore contained in the **forward closure** of the
 /// seed set: walk conflict rows from the seeds, following an edge u–w only
 /// when `rank(w) > rank(u)`.  The closure R is forward-closed by
@@ -47,8 +47,8 @@ class DirtyComponents {
 
   /// Decomposes the forward closure of `seeds` (deduped, any order) under
   /// rank-increasing conflict edges of `cg` into connected components.
-  /// `rank` is the id-indexed maintained rank span (ids past its end are
-  /// unranked).  Unranked seeds are skipped.  Returns false — leaving the
+  /// `rank` is the id-indexed rank span (ids past its end are unranked).
+  /// Unranked seeds are skipped.  Returns false — leaving the
   /// previous decomposition invalid — when the closure would exceed
   /// `node_cap` nodes.
   bool decompose(const net::ConflictGraph& cg, std::span<const std::uint32_t> rank,

@@ -24,20 +24,20 @@ void DegeneracyOrderer::sync_degrees(const net::ConflictGraph& cg) {
   bool repaired = false;
   // Keyed on the graph's process-unique nonce, not its address: a fresh
   // graph living where a destroyed one did must not inherit the mirror.
-  if (params_.incremental && last_nonce_ == cg.nonce()) {
+  if (last_nonce_ == cg.nonce()) {
     // Joiners extend the row table; their fresh ids are journaled dirty, so
     // zero-extending the mirror keeps the repair complete.
     if (degrees_.size() < rows) degrees_.resize(rows, 0);
-    dirty_.clear();
-    if (!cg.append_dirty_since(last_revision_, dirty_)) {
+    std::span<const net::NodeId> dirty;
+    if (!cg.dirty_window_since(last_revision_, dirty)) {
       ++counters_.journal_fallbacks;
-    } else if (static_cast<double>(dirty_.size()) >
+    } else if (static_cast<double>(dirty.size()) >
                params_.rebuild_fraction * static_cast<double>(rows)) {
       ++counters_.threshold_fallbacks;
     } else {
       // Bounded repair: only journaled ids can have changed row sizes.
-      for (net::NodeId v : dirty_) degrees_[v] = cg.degree(v);
-      counters_.repaired_nodes += dirty_.size();
+      for (net::NodeId v : dirty) degrees_[v] = cg.degree(v);
+      counters_.repaired_nodes += dirty.size();
       repaired = true;
     }
   }
@@ -66,10 +66,8 @@ void DegeneracyOrderer::order(const net::AdhocNetwork& net,
   const std::size_t bound = net.id_bound();
   arena_.in_set.assign(bound, 0);
   for (net::NodeId v : vertices) arena_.in_set[v] = 1;
-  arena_.degree.assign(bound, 0);
-  const std::size_t copy = std::min(bound, degrees_.size());
-  std::copy(degrees_.begin(), degrees_.begin() + static_cast<std::ptrdiff_t>(copy),
-            arena_.degree.begin());
+  arena_.degree.assign(degrees_.begin(), degrees_.end());
+  arena_.degree.resize(bound, 0);
 
   smallest_last_eliminate(CachedAdjacency{&cg}, vertices, tie, arena_);
   out = arena_.out;
@@ -158,8 +156,8 @@ bool DegeneracyOrderer::try_maintain_ranks(const net::AdhocNetwork& net,
               if (da != db) return da > db;
               return a < b;
             });
+  if (rank_.size() < net.id_bound()) rank_.resize(net.id_bound(), kNoRank);
   for (net::NodeId v : appended_) {
-    if (v >= rank_.size()) rank_.resize(v + 1, kNoRank);
     rank_[v] = static_cast<std::uint32_t>(rank_seq_.size());
     rank_seq_.push_back(v);
   }

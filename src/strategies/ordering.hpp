@@ -10,10 +10,11 @@
 /// \file ordering.hpp
 /// \brief Incrementally maintained degeneracy (smallest-last) ordering.
 ///
-/// PR 3 made BBB's recoloring local, which left the smallest-last *ordering*
-/// as the dominant per-event term: every event recomputed the vertex degrees
-/// from an O(V+E) adjacency scan and rebuilt the bucket structure from
-/// freshly allocated storage.  `DegeneracyOrderer` removes both costs:
+/// Incremental BBB recoloring is local, which leaves the smallest-last
+/// *ordering* as a dominant per-event term: a from-scratch order recomputes
+/// the vertex degrees from an O(V+E) adjacency scan and rebuilds the bucket
+/// structure from freshly allocated storage.  `DegeneracyOrderer` removes
+/// both costs:
 ///
 /// * it mirrors every node's conflict degree, synchronized from the conflict
 ///   cache's dirty journal — a bounded repair touching only the nodes whose
@@ -27,7 +28,8 @@
 /// `graph::smallest_last_order` on the current graph for every tie-break —
 /// both run the same `smallest_last_eliminate` core on equal inputs, and the
 /// randomized event soaks in tests/strategies/ordering_test.cpp hold it to
-/// that.  BBB's dirty-region recoloring depends on exactly this equivalence.
+/// that.  Canonical BBB's incremental repair depends on exactly this
+/// equivalence.
 ///
 /// ## Maintained ranks (rank-bounded BBB)
 ///
@@ -59,10 +61,6 @@ namespace minim::strategies {
 class DegeneracyOrderer {
  public:
   struct Params {
-    /// Serve degrees from the journal-synced mirror.  Disable to recompute
-    /// the mirror from the conflict rows on every order (the reference
-    /// behavior the equivalence soaks compare against).
-    bool incremental = true;
     /// Full degree rebuild when more than this fraction of the id space was
     /// journaled dirty since the last order (raw journal entries, so repeats
     /// count — a deliberately conservative trigger).
@@ -136,8 +134,9 @@ class DegeneracyOrderer {
   const std::vector<net::NodeId>& ranked_sequence() const { return rank_seq_; }
 
   /// The id-indexed rank span backing `rank()`: `kNoRank` marks departed/
-  /// never-ranked ids, and ids at or past the span's end are unranked.
-  /// Read-only view for the component decomposer (components.hpp);
+  /// never-ranked ids.  After a successful maintain or rebuild it covers
+  /// every id below the network's `id_bound()`.  Read-only view for BBB's
+  /// propagation kernel and the component decomposer (components.hpp);
   /// invalidated by the next maintain/rebuild.
   std::span<const std::uint32_t> rank_index() const { return rank_; }
 
@@ -156,7 +155,6 @@ class DegeneracyOrderer {
   std::uint64_t last_nonce_ = 0;  ///< ConflictGraph::nonce() of the mirror
   std::uint64_t last_revision_ = 0;
   std::vector<std::size_t> degrees_;  ///< id-indexed conflict-degree mirror
-  std::vector<net::NodeId> dirty_;
   graph::EliminationArena arena_;
 
   // Maintained-rank state (see the file comment).

@@ -22,7 +22,9 @@ namespace {
 namespace fs = std::filesystem;
 
 using minim::bench::double_list_from;
+using minim::bench::kMaxRecolorThreads;
 using minim::bench::Metric;
+using minim::bench::parse_recolor_threads;
 using minim::bench::split_list;
 using minim::bench::string_list_from;
 using minim::bench::sweep_options_from;
@@ -277,6 +279,20 @@ TEST(BenchUtil, ListOptionsFallBackWhenAbsent) {
   EXPECT_EQ(double_list_from(options, "missing", {1.5}), (std::vector<double>{1.5}));
   const Options with_ns = options_from({"--ns=40,60"});
   EXPECT_EQ(double_list_from(with_ns, "ns", {}), (std::vector<double>{40, 60}));
+}
+
+TEST(BenchUtil, RecolorThreadsAcceptsAutoAndTheBoundedRange) {
+  EXPECT_EQ(parse_recolor_threads("0"), 0u);  // one thread per core
+  EXPECT_EQ(parse_recolor_threads("1"), 1u);
+  EXPECT_EQ(parse_recolor_threads("4"), 4u);
+  EXPECT_EQ(parse_recolor_threads(std::to_string(kMaxRecolorThreads)),
+            kMaxRecolorThreads);
+}
+
+TEST(BenchUtil, RecolorThreadsRejectsNegativeHugeAndMalformedValues) {
+  for (const char* bad : {"-3", "-0", "257", "4096", "99999999999999999999", "",
+                          "2.5", "1e3", "two", "4 ", "+4", "true"})
+    EXPECT_FALSE(parse_recolor_threads(bad).has_value()) << "'" << bad << "'";
 }
 
 TEST(BenchUtil, SweepOptionsRunsDefaultsAndFastPrecedence) {

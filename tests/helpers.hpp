@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "core/minim.hpp"
+#include "core/recode_report.hpp"
 #include "net/assignment.hpp"
 #include "net/constraints.hpp"
 #include "net/network.hpp"
+#include "strategies/coloring.hpp"
 #include "util/rng.hpp"
 
 namespace minim::test {
@@ -44,6 +46,28 @@ inline World build_world(std::size_t n, double min_range, double max_range,
     world.ids.push_back(id);
   }
   return world;
+}
+
+/// The from-scratch BBB reference: recolors a copy of `assignment` with
+/// `strategies::color_network` in `order`, reports every live node whose
+/// color differs (ascending id, as `BbbStrategy` reports), and writes the
+/// recolored copy back.  Incremental BBB must match it event for event.
+inline core::RecodeReport recolor_from_scratch(const net::AdhocNetwork& network,
+                                               strategies::ColoringOrder order,
+                                               core::EventType event,
+                                               net::NodeId subject,
+                                               net::CodeAssignment& assignment) {
+  net::CodeAssignment fresh = assignment;
+  strategies::color_network(network, order, fresh);
+  core::RecodeReport report;
+  report.event = event;
+  report.subject = subject;
+  for (net::NodeId v : network.nodes())
+    if (fresh.color(v) != assignment.color(v))
+      report.changes.push_back(core::Recode{v, assignment.color(v), fresh.color(v)});
+  assignment = fresh;
+  core::finalize_report(network, assignment, report);
+  return report;
 }
 
 /// Result of exhaustively enumerating correct recodings of `v1`.

@@ -1,11 +1,14 @@
-// Dirty-region BBB must be bit-identical to the from-scratch recolor: same
+// Incremental BBB must be bit-identical to the from-scratch recolor: same
 // RecodeReports (change lists), same assignments, same max colors, across
-// every static coloring order and randomized event soaks.
+// every coloring order and randomized event soaks.  The reference is
+// `color_network` called directly (tests/helpers.hpp), not a mode of the
+// strategy under test.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "../helpers.hpp"
 #include "net/constraints.hpp"
 #include "net/network.hpp"
 #include "strategies/bbb.hpp"
@@ -13,6 +16,7 @@
 
 namespace {
 
+using minim::core::EventType;
 using minim::core::RecodeReport;
 using minim::net::AdhocNetwork;
 using minim::net::CodeAssignment;
@@ -20,13 +24,8 @@ using minim::net::NodeConfig;
 using minim::net::NodeId;
 using minim::strategies::BbbStrategy;
 using minim::strategies::ColoringOrder;
+using minim::test::recolor_from_scratch;
 using minim::util::Rng;
-
-BbbStrategy::Params full_only() {
-  BbbStrategy::Params params;
-  params.incremental = false;
-  return params;
-}
 
 void expect_reports_equal(const RecodeReport& a, const RecodeReport& b,
                           int event_index) {
@@ -43,8 +42,8 @@ void expect_reports_equal(const RecodeReport& a, const RecodeReport& b,
   }
 }
 
-/// Drives one randomized join/move/power/leave history through two BBB
-/// instances — dirty-region vs forced-full — sharing the network but owning
+/// Drives one randomized join/move/power/leave history through a BBB
+/// instance and the from-scratch reference, sharing the network but owning
 /// separate assignments, asserting identical behavior after every event.
 void soak(ColoringOrder order, BbbStrategy::Params incremental_params,
           std::uint64_t seed, int events) {
@@ -53,7 +52,6 @@ void soak(ColoringOrder order, BbbStrategy::Params incremental_params,
   CodeAssignment incremental_asg;
   CodeAssignment full_asg;
   BbbStrategy incremental(order, incremental_params);
-  BbbStrategy full(order, full_only());
   std::vector<NodeId> live;
 
   for (int event = 0; event < events; ++event) {
@@ -65,18 +63,22 @@ void soak(ColoringOrder order, BbbStrategy::Params incremental_params,
           {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(10, 35)});
       live.push_back(id);
       a = incremental.on_join(net, incremental_asg, id);
-      b = full.on_join(net, full_asg, id);
+      b = recolor_from_scratch(net, order, EventType::kJoin, id, full_asg);
     } else if (roll < 0.6) {
       const NodeId v = live[rng.below(live.size())];
       net.set_position(v, {rng.uniform(0, 100), rng.uniform(0, 100)});
       a = incremental.on_move(net, incremental_asg, v);
-      b = full.on_move(net, full_asg, v);
+      b = recolor_from_scratch(net, order, EventType::kMove, v, full_asg);
     } else if (roll < 0.85) {
       const NodeId v = live[rng.below(live.size())];
       const double old_range = net.config(v).range;
-      net.set_range(v, rng.uniform(0, 40));
+      const double new_range = rng.uniform(0, 40);
+      net.set_range(v, new_range);
       a = incremental.on_power_change(net, incremental_asg, v, old_range);
-      b = full.on_power_change(net, full_asg, v, old_range);
+      b = recolor_from_scratch(net, order,
+                               new_range > old_range ? EventType::kPowerIncrease
+                                                     : EventType::kPowerDecrease,
+                               v, full_asg);
     } else {
       const std::size_t index = rng.below(live.size());
       const NodeId v = live[index];
@@ -85,7 +87,7 @@ void soak(ColoringOrder order, BbbStrategy::Params incremental_params,
       incremental_asg.clear(v);
       full_asg.clear(v);
       a = incremental.on_leave(net, incremental_asg, v);
-      b = full.on_leave(net, full_asg, v);
+      b = recolor_from_scratch(net, order, EventType::kLeave, v, full_asg);
     }
 
     ASSERT_NO_FATAL_FAILURE(expect_reports_equal(a, b, event));
@@ -111,8 +113,8 @@ TEST_P(BbbIncrementalOrder, MatchesWithAggressiveDirtyThreshold) {
 }
 
 TEST_P(BbbIncrementalOrder, MatchesWithZeroThresholdAlwaysFullPath) {
-  // Threshold 0 forces the fallback whenever anything changed: the two
-  // instances literally run the same code, pinning the fallback wiring.
+  // Threshold 0 forces the fallback whenever anything changed, pinning the
+  // fallback wiring.
   BbbStrategy::Params params;
   params.full_recolor_fraction = 0.0;
   soak(GetParam(), params, 9004, 50);
@@ -144,13 +146,13 @@ TEST(BbbIncremental, SurvivesForeignAssignmentMutation) {
   asg.set_color(ids[4], asg.color(ids[4]) + 17);
 
   CodeAssignment reference_asg;
-  BbbStrategy reference(ColoringOrder::kSmallestLast, full_only());
   for (NodeId v : net.nodes()) reference_asg.set_color(v, asg.color(v));
 
   const double old_range = net.config(ids[2]).range;
   net.set_range(ids[2], old_range * 1.5);
   const auto a = bbb.on_power_change(net, asg, ids[2], old_range);
-  const auto b = reference.on_power_change(net, reference_asg, ids[2], old_range);
+  const auto b = recolor_from_scratch(net, ColoringOrder::kSmallestLast,
+                                      EventType::kPowerIncrease, ids[2], reference_asg);
   expect_reports_equal(a, b, 0);
   for (NodeId v : net.nodes()) EXPECT_EQ(asg.color(v), reference_asg.color(v));
 }

@@ -2,7 +2,7 @@
 //
 // The maintained orderer must produce, after ANY event sequence, exactly the
 // order a from-scratch `graph::smallest_last_order` computes on the current
-// conflict graph — for every tie-break.  BBB's dirty-region recoloring (and
+// conflict graph — for every tie-break.  BBB's incremental recoloring (and
 // therefore the committed figure CSVs) depends on this bit-identity, so the
 // soak drives a network through a randomized mix of joins, leaves, moves and
 // power changes and compares after every single event.
@@ -67,7 +67,7 @@ TEST(DegeneracyOrderer, MatchesFromScratchAcrossEventSoakAndTieBreaks) {
   minim::util::Rng rng(777);
   for (int round = 0; round < 3; ++round) {
     AdhocNetwork net;
-    DegeneracyOrderer orderer;  // default params: incremental repair on
+    DegeneracyOrderer orderer;
     std::vector<NodeId> live;
     std::vector<NodeId> out;
     for (int event = 0; event < 120; ++event) {
@@ -167,24 +167,6 @@ TEST(DegeneracyOrderer, ResetNetworkFallsBackViaJournal) {
   orderer.order(net, vertices, DegeneracyTieBreak::kStack, out);
   EXPECT_EQ(out, reference_order(net, vertices, DegeneracyTieBreak::kStack));
   EXPECT_GE(orderer.counters().journal_fallbacks, 1u);
-}
-
-TEST(DegeneracyOrderer, NonIncrementalModeAlwaysRebuilds) {
-  minim::util::Rng rng(34);
-  AdhocNetwork net;
-  DegeneracyOrderer::Params params;
-  params.incremental = false;
-  DegeneracyOrderer orderer(params);
-  std::vector<NodeId> out;
-  std::vector<NodeId> live;
-  for (int event = 0; event < 15; ++event) {
-    random_event(net, live, rng);
-    std::vector<NodeId> vertices = net.nodes();
-    orderer.order(net, vertices, DegeneracyTieBreak::kStack, out);
-    EXPECT_EQ(out, reference_order(net, vertices, DegeneracyTieBreak::kStack));
-  }
-  EXPECT_EQ(orderer.counters().degree_rebuilds, 15u);
-  EXPECT_EQ(orderer.counters().repaired_nodes, 0u);
 }
 
 }  // namespace
