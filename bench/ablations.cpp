@@ -54,6 +54,7 @@ void minim_variant_row(util::TextTable& table, const std::string& label,
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
+  bench::prepare_csv_dir(options);
   const auto runs = static_cast<std::size_t>(
       options.get_int("runs", options.get_bool("fast", false) ? 10 : 60));
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 99));

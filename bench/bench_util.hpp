@@ -145,6 +145,21 @@ inline std::size_t recolor_threads_or_exit(const std::string& text) {
   return *threads;
 }
 
+/// Resolves `--csv-dir=DIR` once at start-up: creates DIR (parents
+/// included) so the writers at the end of a run cannot fail on it, or exits 2
+/// with a one-line message before any work starts.  No-op without the flag.
+inline void prepare_csv_dir(const util::Options& options) {
+  const std::string dir = options.get("csv-dir", "");
+  if (dir.empty()) return;
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (error || !std::filesystem::is_directory(dir)) {
+    std::cerr << "--csv-dir=" << dir << ": cannot create directory"
+              << (error ? ": " + error.message() : std::string()) << "\n";
+    std::exit(2);
+  }
+}
+
 inline sim::SweepOptions sweep_options_from(const util::Options& options,
                                             std::vector<std::string> strategies) {
   sim::SweepOptions sweep;

@@ -330,6 +330,7 @@ int main(int argc, char** argv) {
   if (bench::is_fleet_agent(options)) return bench::run_fleet_agent(options);
 
   if (options.has("serve")) return run_serve(options);
+  bench::prepare_csv_dir(options);
 
   sim::ExperimentOptions run;
   run.trials = static_cast<std::size_t>(options.get_int("trials", 100));

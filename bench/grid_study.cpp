@@ -132,6 +132,7 @@ int main(int argc, char** argv) {
   // A fleet agent serves units for a remote driver; nothing else in this
   // harness applies to that invocation.
   if (bench::is_fleet_agent(options)) return bench::run_fleet_agent(options);
+  bench::prepare_csv_dir(options);
   const StudyConfig config = config_from(options);
 
   // Orchestration worker: run this unit's rectangle, write its shard CSV,

@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the algorithmic kernels:
 // max-weight matching, conflict-graph coloring, spatial-grid queries,
-// the end-to-end join operation, the batched recolor paths (dirty-component
+// the end-to-end join operation and its G' build and matching halves, the batched recolor paths (dirty-component
 // decomposition; serial vs component-parallel propagation), and the CDMA
 // PHY hot path.
 
@@ -82,25 +82,70 @@ void BM_DSaturColoring(benchmark::State& state) {
 }
 BENCHMARK(BM_DSaturColoring);
 
+// A paper-sized world: n - 1 random joins repaired by Minim, then the
+// event node at the centre, not yet recoded.
+struct JoinWorld {
+  net::AdhocNetwork network;
+  net::CodeAssignment assignment;
+  net::NodeId last = 0;
+};
+
+JoinWorld minim_join_world(std::size_t n, util::Rng& rng) {
+  JoinWorld world;
+  core::MinimStrategy minim;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const auto id = world.network.add_node(
+        {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(20.5, 30.5)});
+    minim.on_join(world.network, world.assignment, id);
+  }
+  world.last = world.network.add_node({{50, 50}, 25.0});
+  return world;
+}
+
+std::vector<net::NodeId> join_recoding_set(const JoinWorld& world) {
+  const auto heard = world.network.heard_by(world.last);
+  std::vector<net::NodeId> v1(heard.begin(), heard.end());
+  v1.push_back(world.last);
+  return v1;
+}
+
 void BM_MinimJoin(benchmark::State& state) {
   util::Rng rng(10);
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    net::AdhocNetwork network;
-    net::CodeAssignment assignment;
+    JoinWorld world = minim_join_world(n, rng);
     core::MinimStrategy minim;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const auto id = network.add_node(
-          {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(20.5, 30.5)});
-      minim.on_join(network, assignment, id);
-    }
-    const auto last = network.add_node({{50, 50}, 25.0});
     state.ResumeTiming();
-    minim.on_join(network, assignment, last);
+    minim.on_join(world.network, world.assignment, world.last);
   }
 }
 BENCHMARK(BM_MinimJoin)->Arg(40)->Arg(80)->Arg(120)->Unit(benchmark::kMicrosecond);
+
+// The two halves of BM_MinimJoin's repair on its first world: building G'
+// (bitmap rows over the recoding set) and the Hungarian matching on it.
+void BM_BuildRecodeProblem(benchmark::State& state) {
+  util::Rng rng(10);
+  const JoinWorld world = minim_join_world(static_cast<std::size_t>(state.range(0)), rng);
+  const auto v1 = join_recoding_set(world);
+  for (auto _ : state) {
+    auto problem = core::build_recode_problem(world.network, world.assignment, v1);
+    benchmark::DoNotOptimize(problem.graph.edge_count());
+  }
+}
+BENCHMARK(BM_BuildRecodeProblem)->Arg(40)->Arg(80)->Arg(120);
+
+void BM_RecodeMatching(benchmark::State& state) {
+  util::Rng rng(10);
+  const JoinWorld world = minim_join_world(static_cast<std::size_t>(state.range(0)), rng);
+  const auto problem =
+      core::build_recode_problem(world.network, world.assignment, join_recoding_set(world));
+  for (auto _ : state) {
+    auto result = matching::max_weight_matching(problem.graph);
+    benchmark::DoNotOptimize(result.total_weight);
+  }
+}
+BENCHMARK(BM_RecodeMatching)->Arg(40)->Arg(80)->Arg(120);
 
 void BM_ConflictPartners(benchmark::State& state) {
   util::Rng rng(11);

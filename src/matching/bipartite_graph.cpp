@@ -2,32 +2,22 @@
 
 #include <algorithm>
 
-#include "util/require.hpp"
-
 namespace minim::matching {
 
 BipartiteGraph::BipartiteGraph(std::uint32_t left_size, std::uint32_t right_size)
-    : left_size_(left_size), right_size_(right_size), left_adj_(left_size) {}
+    : left_size_(left_size),
+      right_size_(right_size),
+      weights_(std::size_t{left_size} * right_size, 0) {}
 
 void BipartiteGraph::add_edge(std::uint32_t l, std::uint32_t r, Weight w) {
   MINIM_REQUIRE(l < left_size_, "bipartite edge: left vertex out of range");
   MINIM_REQUIRE(r < right_size_, "bipartite edge: right vertex out of range");
   MINIM_REQUIRE(w > 0, "bipartite edge weights must be positive");
-  MINIM_REQUIRE(!has_edge(l, r), "bipartite edge added twice");
-  left_adj_[l].push_back(static_cast<std::uint32_t>(edges_.size()));
-  edges_.push_back(BipartiteEdge{l, r, w});
-}
-
-const std::vector<std::uint32_t>& BipartiteGraph::edges_of_left(std::uint32_t l) const {
-  MINIM_REQUIRE(l < left_size_, "edges_of_left: out of range");
-  return left_adj_[l];
-}
-
-Weight BipartiteGraph::weight(std::uint32_t l, std::uint32_t r) const {
-  MINIM_REQUIRE(l < left_size_ && r < right_size_, "weight: vertex out of range");
-  for (std::uint32_t e : left_adj_[l])
-    if (edges_[e].right == r) return edges_[e].weight;
-  return 0;
+  Weight& cell = weights_[std::size_t{l} * right_size_ + r];
+  MINIM_REQUIRE(cell == 0, "bipartite edge added twice");
+  cell = w;
+  ++edge_count_;
+  max_weight_ = std::max(max_weight_, w);
 }
 
 bool is_valid_matching(const BipartiteGraph& g, const MatchingResult& m) {

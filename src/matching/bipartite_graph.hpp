@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "util/require.hpp"
 
 /// \file bipartite_graph.hpp
 /// \brief Weighted bipartite graphs for the recoding matching step.
@@ -12,19 +15,15 @@
 /// nodes *outside* V1.  Edge weights are 3 for "u's old color" and 1
 /// otherwise (paper, Section 4.1); the weight type is integral because the
 /// optimality proofs are exact-arithmetic arguments.
+///
+/// G' is nearly complete (members are barred only from outside partners'
+/// colors), so it is stored as a dense left-major weight matrix.
 
 namespace minim::matching {
 
 using Weight = std::int64_t;
 
-/// One weighted left->right edge.
-struct BipartiteEdge {
-  std::uint32_t left;
-  std::uint32_t right;
-  Weight weight;
-};
-
-/// Adjacency-list bipartite graph with `left_size` x `right_size` vertices.
+/// Dense `left_size` x `right_size` bipartite graph; weight 0 = no edge.
 class BipartiteGraph {
  public:
   BipartiteGraph(std::uint32_t left_size, std::uint32_t right_size);
@@ -35,23 +34,30 @@ class BipartiteGraph {
 
   std::uint32_t left_size() const { return left_size_; }
   std::uint32_t right_size() const { return right_size_; }
-  std::size_t edge_count() const { return edges_.size(); }
+  std::size_t edge_count() const { return edge_count_; }
 
-  const std::vector<BipartiteEdge>& edges() const { return edges_; }
+  /// Largest edge weight; 0 when there are no edges.
+  Weight max_weight() const { return max_weight_; }
 
-  /// Edges incident to left vertex `l` (indices into `edges()`).
-  const std::vector<std::uint32_t>& edges_of_left(std::uint32_t l) const;
+  /// Weights of left vertex `l`'s row, indexed by right vertex.
+  std::span<const Weight> row(std::uint32_t l) const {
+    return {weights_.data() + std::size_t{l} * right_size_, right_size_};
+  }
 
   /// Weight of (l, r); 0 when absent.
-  Weight weight(std::uint32_t l, std::uint32_t r) const;
+  Weight weight(std::uint32_t l, std::uint32_t r) const {
+    MINIM_REQUIRE(l < left_size_ && r < right_size_, "weight: vertex out of range");
+    return weights_[std::size_t{l} * right_size_ + r];
+  }
 
   bool has_edge(std::uint32_t l, std::uint32_t r) const { return weight(l, r) > 0; }
 
  private:
   std::uint32_t left_size_;
   std::uint32_t right_size_;
-  std::vector<BipartiteEdge> edges_;
-  std::vector<std::vector<std::uint32_t>> left_adj_;
+  std::size_t edge_count_ = 0;
+  Weight max_weight_ = 0;
+  std::vector<Weight> weights_;  ///< left-major, left_size_ * right_size_
 };
 
 /// A matching: `left_to_right[l]` is the matched right vertex or `kUnmatched`.

@@ -33,17 +33,18 @@ struct Search {
     }
     // Option 1: leave l unmatched.
     run(l + 1);
-    // Option 2: match l along each free incident edge.
-    for (std::uint32_t e : g.edges_of_left(l)) {
-      const auto& edge = g.edges()[e];
-      if (right_used[edge.right]) continue;
-      right_used[edge.right] = 1;
-      current[l] = edge.right;
-      current_weight += edge.weight;
+    // Option 2: match l along each free incident edge, by ascending right.
+    const auto row = g.row(l);
+    for (std::uint32_t r = 0; r < row.size(); ++r) {
+      const Weight w = row[r];
+      if (w == 0 || right_used[r]) continue;
+      right_used[r] = 1;
+      current[l] = r;
+      current_weight += w;
       run(l + 1);
-      current_weight -= edge.weight;
+      current_weight -= w;
       current[l] = MatchingResult::kUnmatched;
-      right_used[edge.right] = 0;
+      right_used[r] = 0;
     }
   }
 };

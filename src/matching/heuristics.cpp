@@ -5,21 +5,23 @@
 namespace minim::matching {
 
 MatchingResult greedy_matching(const BipartiteGraph& g) {
-  std::vector<BipartiteEdge> edges(g.edges());
-  std::sort(edges.begin(), edges.end(), [](const BipartiteEdge& a, const BipartiteEdge& b) {
-    if (a.weight != b.weight) return a.weight > b.weight;
-    if (a.left != b.left) return a.left < b.left;
-    return a.right < b.right;
-  });
   MatchingResult result;
   result.left_to_right.assign(g.left_size(), MatchingResult::kUnmatched);
   std::vector<char> right_used(g.right_size(), 0);
-  for (const auto& e : edges) {
-    if (result.left_to_right[e.left] != MatchingResult::kUnmatched) continue;
-    if (right_used[e.right]) continue;
-    result.left_to_right[e.left] = e.right;
-    right_used[e.right] = 1;
-    result.total_weight += e.weight;
+  // One row-major sweep per distinct weight, heaviest first, so edges are
+  // taken by descending weight, then left id, then right id.
+  for (Weight level = g.max_weight(), next = 0; level > 0; level = next, next = 0) {
+    for (std::uint32_t l = 0; l < g.left_size(); ++l)
+      for (std::uint32_t r = 0; r < g.right_size(); ++r) {
+        const Weight w = g.row(l)[r];
+        if (w < level) next = std::max(next, w);
+        if (w != level || result.left_to_right[l] != MatchingResult::kUnmatched ||
+            right_used[r])
+          continue;
+        result.left_to_right[l] = r;
+        right_used[r] = 1;
+        result.total_weight += w;
+      }
   }
   return result;
 }

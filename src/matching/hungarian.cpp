@@ -1,6 +1,5 @@
 #include "matching/hungarian.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -17,40 +16,39 @@ MatchingResult max_weight_matching(const BipartiteGraph& g) {
   const std::size_t r_real = g.right_size();
   const std::size_t m = r_real + n;
 
-  // Costs: minimize (w_max - w). Non-edges and dummy slots cost w_max
-  // (equivalent to weight 0), so they are used only when unavoidable.
-  Weight w_max = 0;
-  for (const auto& e : g.edges()) w_max = std::max(w_max, e.weight);
+  // Costs: minimize (w_max - w), read straight off the weight matrix.  Non-
+  // edges (w = 0) and dummy slots cost w_max, so they are used only when
+  // unavoidable.
+  const Weight w_max = g.max_weight();
   if (w_max == 0) return result;  // no edges at all
-
-  // Dense cost lookup, row-major. Sizes here are small (|V1| ~ degree bound,
-  // |V2| ~ max color), so dense is both faster and simpler than sparse.
-  std::vector<Weight> cost(n * m, w_max);
-  for (const auto& e : g.edges())
-    cost[static_cast<std::size_t>(e.left) * m + e.right] = w_max - e.weight;
 
   constexpr Weight kInf = std::numeric_limits<Weight>::max() / 4;
 
   // e-maxx formulation with 1-based potentials; p[j] = row matched to col j.
-  std::vector<Weight> u(n + 1, 0);
-  std::vector<Weight> v(m + 1, 0);
-  std::vector<std::size_t> p(m + 1, 0);    // 0 = free column
-  std::vector<std::size_t> way(m + 1, 0);
+  // The buffers are reused across calls, one set per thread.
+  thread_local std::vector<Weight> u, v, minv;
+  thread_local std::vector<std::size_t> p, way;  // p: 0 = free column
+  thread_local std::vector<char> used;
+  u.assign(n + 1, 0);
+  v.assign(m + 1, 0);
+  p.assign(m + 1, 0);
+  way.assign(m + 1, 0);
 
   for (std::size_t i = 1; i <= n; ++i) {
     p[0] = i;
     std::size_t j0 = 0;
-    std::vector<Weight> minv(m + 1, kInf);
-    std::vector<char> used(m + 1, 0);
+    minv.assign(m + 1, kInf);
+    used.assign(m + 1, 0);
     do {
       used[j0] = 1;
       const std::size_t i0 = p[j0];
       Weight delta = kInf;
       std::size_t j1 = 0;
-      const Weight* row = cost.data() + (i0 - 1) * m;
+      const Weight* row = g.row(static_cast<std::uint32_t>(i0 - 1)).data();
+      const Weight ui = u[i0];
       for (std::size_t j = 1; j <= m; ++j) {
         if (used[j]) continue;
-        const Weight cur = row[j - 1] - u[i0] - v[j];
+        const Weight cur = w_max - (j <= r_real ? row[j - 1] : 0) - ui - v[j];
         if (cur < minv[j]) {
           minv[j] = cur;
           way[j] = j0;

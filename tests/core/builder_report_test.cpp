@@ -1,10 +1,14 @@
-// Direct tests of the G' builder (Section 4.1 step 4) and the recode-report
-// plumbing, plus evidence that the paper's weight scheme is load-bearing:
+// Direct tests of the G' builder (Section 4.1 step 4), checked cell by cell
+// against G' spelled out from `net::forbidden_colors`, and of the
+// recode-report plumbing, plus evidence that the paper's weight scheme is load-bearing:
 // uniform weights break minimality, cardinality matching breaks it harder,
 // yet both remain *correct* (validity is enforced by the graph, not the
 // weights).
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "../helpers.hpp"
 #include "core/bipartite_builder.hpp"
@@ -115,6 +119,167 @@ TEST(BipartiteBuilder, EmptyRecodeSet) {
   const RecodeProblem problem = build_recode_problem(net, asg, {});
   EXPECT_EQ(problem.graph.left_size(), 0u);
   EXPECT_EQ(problem.max_color, 0u);
+}
+
+// ---------------------------------------------- the builder vs an oracle
+
+using minim::matching::Weight;
+
+// G' spelled out from its definition: each member's forbidden colors from
+// `net::forbidden_colors` (ignoring V1), the pool bound over those and the
+// members' old colors, and one weight per (member, color) cell.
+struct ExpectedGPrime {
+  std::vector<NodeId> v1;
+  Color max_color = 0;
+  std::vector<std::vector<Weight>> cells;  // [member index][color - 1]
+};
+
+ExpectedGPrime expected_gprime(const AdhocNetwork& net, const CodeAssignment& asg,
+                               std::vector<NodeId> v1, const BipartiteWeights& weights) {
+  std::sort(v1.begin(), v1.end());
+  v1.erase(std::unique(v1.begin(), v1.end()), v1.end());
+  const auto in_v1 = [&](NodeId x) { return std::binary_search(v1.begin(), v1.end(), x); };
+  ExpectedGPrime expected;
+  std::vector<std::vector<Color>> forbidden;
+  for (NodeId u : v1) {
+    forbidden.push_back(minim::net::forbidden_colors(net, asg, u, in_v1));
+    if (!forbidden.back().empty())
+      expected.max_color = std::max(expected.max_color, forbidden.back().back());
+    expected.max_color = std::max(expected.max_color, asg.color(u));
+  }
+  for (std::size_t i = 0; i < v1.size(); ++i) {
+    std::vector<Weight> row(expected.max_color, 0);
+    for (Color c = 1; c <= expected.max_color; ++c) {
+      if (std::binary_search(forbidden[i].begin(), forbidden[i].end(), c)) continue;
+      row[c - 1] = c == asg.color(v1[i]) ? weights.old_color_weight : weights.other_weight;
+    }
+    expected.cells.push_back(std::move(row));
+  }
+  expected.v1 = std::move(v1);
+  return expected;
+}
+
+void expect_matches_oracle(const AdhocNetwork& net, const CodeAssignment& asg,
+                           const std::vector<NodeId>& v1, const BipartiteWeights& weights) {
+  const RecodeProblem problem = build_recode_problem(net, asg, v1, weights);
+  const ExpectedGPrime expected = expected_gprime(net, asg, v1, weights);
+  ASSERT_EQ(problem.v1, expected.v1);
+  ASSERT_EQ(problem.max_color, expected.max_color);
+  ASSERT_EQ(problem.graph.left_size(), expected.v1.size());
+  ASSERT_EQ(problem.graph.right_size(), expected.max_color);
+  std::size_t edges = 0;
+  Weight heaviest = 0;
+  for (std::uint32_t i = 0; i < expected.v1.size(); ++i) {
+    for (Color c = 1; c <= expected.max_color; ++c) {
+      const Weight w = expected.cells[i][c - 1];
+      ASSERT_EQ(problem.graph.weight(i, c - 1), w)
+          << "member " << expected.v1[i] << " color " << c;
+      if (w == 0) continue;
+      ++edges;
+      heaviest = std::max(heaviest, w);
+    }
+  }
+  EXPECT_EQ(problem.graph.edge_count(), edges);
+  EXPECT_EQ(problem.graph.max_weight(), heaviest);
+}
+
+// The paper's 3/1 scheme and the ablation bench's alternatives.
+const std::vector<BipartiteWeights> kWeightSchemes = {{3, 1}, {2, 1}, {1, 1}, {9, 4}};
+
+void expect_matches_oracle_all_weights(const AdhocNetwork& net, const CodeAssignment& asg,
+                                       const std::vector<NodeId>& v1) {
+  for (const BipartiteWeights& weights : kWeightSchemes) {
+    SCOPED_TRACE(testing::Message() << "weights " << weights.old_color_weight << "/"
+                                    << weights.other_weight);
+    expect_matches_oracle(net, asg, v1, weights);
+  }
+}
+
+std::vector<NodeId> join_recoding_set(const AdhocNetwork& net, NodeId joiner) {
+  std::vector<NodeId> v1 = minim::test::ids(net.heard_by(joiner));
+  v1.push_back(joiner);
+  return v1;
+}
+
+TEST(BuilderOracle, MatchesDefinitionOnRandomWorlds) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed * 101);
+    World world = build_world(30, 15.0, 35.0, rng);
+    auto& net = world.network;
+    auto& asg = world.assignment;
+    // A joiner not yet recoded (uncolored), the shape Minim builds.
+    const NodeId joiner = net.add_node(
+        {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(15.0, 35.0)});
+    expect_matches_oracle_all_weights(net, asg, join_recoding_set(net, joiner));
+    expect_matches_oracle_all_weights(net, asg, {});
+    // Random recoding sets, duplicates included, over a recolored world: some
+    // members share a color with an outside partner, so their old color is
+    // forbidden.
+    for (int trial = 0; trial < 8; ++trial) {
+      for (int k = 0; k < 6; ++k)
+        asg.set_color(world.ids[rng.below(world.ids.size())],
+                      static_cast<Color>(1 + rng.below(12)));
+      std::vector<NodeId> v1;
+      const std::size_t size = rng.below(9);
+      for (std::size_t k = 0; k < size; ++k) v1.push_back(world.ids[rng.below(world.ids.size())]);
+      expect_matches_oracle_all_weights(net, asg, v1);
+    }
+  }
+}
+
+TEST(BuilderOracle, PoolsStraddlingBitmapWordEdges) {
+  // Colors 63/64 and 127/128 sit on either side of the 64-bit words the
+  // builder complements; each pool bound here ends on or next to an edge.
+  const std::vector<Color> edge_colors = {63, 64, 65, 127, 128};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 7919);
+    const World base = build_world(30, 25.0, 40.0, rng);
+    for (const Color top : edge_colors) {
+      for (const int old_mode : {0, 1, 2}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " top " << top
+                                        << " old_mode " << old_mode);
+        AdhocNetwork net = base.network;
+        CodeAssignment asg = base.assignment;
+        // Recode the best-connected node alone, so every conflict partner is
+        // outside V1, and force the edge colors (up to `top`) onto them.
+        NodeId u = base.ids.front();
+        for (NodeId id : base.ids)
+          if (net.conflict_graph().neighbors(id).size() >
+              net.conflict_graph().neighbors(u).size())
+            u = id;
+        const auto partners = minim::test::ids(net.conflict_graph().neighbors(u));
+        ASSERT_GE(partners.size(), edge_colors.size());
+        std::size_t p = 0;
+        for (const Color c : edge_colors)
+          if (c <= top) asg.set_color(partners[p++], c);
+        // old_mode 0: u keeps its small color; 1: u's old color is `top`,
+        // which a partner holds, so it is forbidden; 2: u's old color
+        // `top + 1` sets the pool bound.
+        if (old_mode == 1) asg.set_color(u, top);
+        if (old_mode == 2) asg.set_color(u, top + 1);
+        expect_matches_oracle_all_weights(net, asg, {u});
+        expect_matches_oracle_all_weights(net, asg, {u, partners.back()});
+        // A color far above the pool elsewhere widens the scratch stride.
+        asg.set_color(partners.back(), 300);
+        expect_matches_oracle_all_weights(net, asg, {u});
+      }
+    }
+  }
+}
+
+TEST(BuilderOracle, OldColorForbiddenByOutsidePartner) {
+  AdhocNetwork net;
+  CodeAssignment asg;
+  const NodeId u = net.add_node({{50, 50}, 20});
+  const NodeId outside = net.add_node({{50, 65}, 20});  // mutual with u
+  asg.set_color(u, 2);
+  asg.set_color(outside, 2);
+  const RecodeProblem problem = build_recode_problem(net, asg, {u});
+  EXPECT_EQ(problem.max_color, 2u);
+  EXPECT_FALSE(problem.graph.has_edge(0, 1));
+  EXPECT_EQ(problem.graph.weight(0, 0), 1);
+  expect_matches_oracle_all_weights(net, asg, {u});
 }
 
 // ------------------------------------------------- weights are load-bearing

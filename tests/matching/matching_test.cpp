@@ -1,10 +1,15 @@
 // Exactness of the maximum-weight matcher is what the paper's minimality and
 // optimality theorems stand on; these tests pin it against an exhaustive
-// oracle across thousands of random instances.
+// oracle across thousands of random instances, and pin its exact output (not
+// just its weight) against an edge-list Hungarian kept here as a reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <ostream>
 #include <stdexcept>
+#include <vector>
 
 #include "matching/bipartite_graph.hpp"
 #include "matching/brute_force.hpp"
@@ -22,7 +27,120 @@ using minim::matching::is_valid_matching;
 using minim::matching::MatchingResult;
 using minim::matching::max_cardinality_matching;
 using minim::matching::max_weight_matching;
+using minim::matching::Weight;
 using minim::util::Rng;
+
+struct Edge {
+  std::uint32_t left;
+  std::uint32_t right;
+  Weight weight;
+};
+
+// The e-maxx Hungarian over an edge list and a copied cost matrix, as the
+// library ran it before the graph became a dense matrix.  The library's
+// solver reads the same costs off the matrix in the same pivot order, so
+// its `left_to_right` must equal this one's exactly: Minim's recodings, and
+// so every figure CSV, depend on which of several equal-weight optima wins.
+MatchingResult reference_hungarian(std::uint32_t left, std::uint32_t right,
+                                   const std::vector<Edge>& edges) {
+  const std::size_t n = left;
+  MatchingResult result;
+  result.left_to_right.assign(n, MatchingResult::kUnmatched);
+  if (n == 0) return result;
+  const std::size_t r_real = right;
+  const std::size_t m = r_real + n;
+  Weight w_max = 0;
+  for (const auto& e : edges) w_max = std::max(w_max, e.weight);
+  if (w_max == 0) return result;
+  std::vector<Weight> cost(n * m, w_max);
+  for (const auto& e : edges)
+    cost[static_cast<std::size_t>(e.left) * m + e.right] = w_max - e.weight;
+
+  constexpr Weight kInf = std::numeric_limits<Weight>::max() / 4;
+  std::vector<Weight> u(n + 1, 0);
+  std::vector<Weight> v(m + 1, 0);
+  std::vector<std::size_t> p(m + 1, 0);
+  std::vector<std::size_t> way(m + 1, 0);
+  for (std::size_t i = 1; i <= n; ++i) {
+    p[0] = i;
+    std::size_t j0 = 0;
+    std::vector<Weight> minv(m + 1, kInf);
+    std::vector<char> used(m + 1, 0);
+    do {
+      used[j0] = 1;
+      const std::size_t i0 = p[j0];
+      Weight delta = kInf;
+      std::size_t j1 = 0;
+      const Weight* row = cost.data() + (i0 - 1) * m;
+      for (std::size_t j = 1; j <= m; ++j) {
+        if (used[j]) continue;
+        const Weight cur = row[j - 1] - u[i0] - v[j];
+        if (cur < minv[j]) {
+          minv[j] = cur;
+          way[j] = j0;
+        }
+        if (minv[j] < delta) {
+          delta = minv[j];
+          j1 = j;
+        }
+      }
+      for (std::size_t j = 0; j <= m; ++j) {
+        if (used[j]) {
+          u[p[j]] += delta;
+          v[j] -= delta;
+        } else {
+          minv[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (p[j0] != 0);
+    do {
+      const std::size_t j1 = way[j0];
+      p[j0] = p[j1];
+      j0 = j1;
+    } while (j0 != 0);
+  }
+  for (std::size_t j = 1; j <= r_real; ++j) {
+    if (p[j] == 0) continue;
+    const std::size_t i = p[j] - 1;
+    Weight w = 0;
+    for (const auto& e : edges)
+      if (e.left == i && e.right == j - 1) w = e.weight;
+    if (w <= 0) continue;
+    result.left_to_right[i] = static_cast<std::uint32_t>(j - 1);
+    result.total_weight += w;
+  }
+  return result;
+}
+
+// Greedy by its specification: edges by descending weight, then left id,
+// then right id; take every edge whose endpoints are both free.
+MatchingResult reference_greedy(std::uint32_t left, std::uint32_t right,
+                                std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    if (a.weight != b.weight) return a.weight > b.weight;
+    if (a.left != b.left) return a.left < b.left;
+    return a.right < b.right;
+  });
+  MatchingResult result;
+  result.left_to_right.assign(left, MatchingResult::kUnmatched);
+  std::vector<char> right_used(right, 0);
+  for (const auto& e : edges) {
+    if (result.left_to_right[e.left] != MatchingResult::kUnmatched || right_used[e.right])
+      continue;
+    result.left_to_right[e.left] = e.right;
+    right_used[e.right] = 1;
+    result.total_weight += e.weight;
+  }
+  return result;
+}
+
+BipartiteGraph graph_of(std::uint32_t left, std::uint32_t right,
+                        const std::vector<Edge>& edges) {
+  BipartiteGraph g(left, right);
+  for (const auto& e : edges) g.add_edge(e.left, e.right, e.weight);
+  return g;
+}
 
 // -------------------------------------------------------- BipartiteGraph
 
@@ -37,6 +155,15 @@ TEST(BipartiteGraph, BasicAccessors) {
   EXPECT_EQ(g.weight(0, 0), 0);
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_FALSE(g.has_edge(1, 0));
+  EXPECT_EQ(g.max_weight(), 3);
+  const auto row = g.row(0);
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[0], 0);
+  EXPECT_EQ(row[1], 3);
+  EXPECT_EQ(row[2], 0);
+  EXPECT_EQ(BipartiteGraph(2, 2).max_weight(), 0);
+  EXPECT_THROW(g.weight(2, 0), std::invalid_argument);
+  EXPECT_THROW(g.weight(0, 3), std::invalid_argument);
 }
 
 TEST(BipartiteGraph, RejectsBadEdges) {
@@ -162,29 +289,91 @@ struct RandomInstanceParams {
   bool paper_weights;  // 3/1 scheme vs arbitrary weights in [1, 9]
 };
 
-class HungarianOracleTest : public ::testing::TestWithParam<RandomInstanceParams> {};
+// Prints the fields, e.g. "l4 r4 d0.5 paper": ctest's discovered test names
+// embed this text, and gtest's default byte dump would include padding.
+void PrintTo(const RandomInstanceParams& param, std::ostream* os) {
+  *os << "l" << param.max_left << " r" << param.max_right << " d" << param.density
+      << (param.paper_weights ? " paper" : " w1-9");
+}
 
-TEST_P(HungarianOracleTest, MatchesBruteForceWeight) {
-  const auto param = GetParam();
-  Rng rng(1000 + param.max_left * 31 + param.max_right * 7 +
-          static_cast<std::uint64_t>(param.density * 100));
-  for (int trial = 0; trial < 150; ++trial) {
-    const auto l = static_cast<std::uint32_t>(1 + rng.below(param.max_left));
-    const auto r = static_cast<std::uint32_t>(1 + rng.below(param.max_right));
-    BipartiteGraph g(l, r);
+class HungarianOracleTest : public ::testing::TestWithParam<RandomInstanceParams> {
+ protected:
+  // One random instance of the family, as an edge list in ascending
+  // (left, right) order — the order the G' builder adds edges in.
+  static std::vector<Edge> random_edges(const RandomInstanceParams& param, Rng& rng,
+                                        std::uint32_t& l, std::uint32_t& r) {
+    l = static_cast<std::uint32_t>(1 + rng.below(param.max_left));
+    r = static_cast<std::uint32_t>(1 + rng.below(param.max_right));
+    std::vector<Edge> edges;
     for (std::uint32_t i = 0; i < l; ++i)
       for (std::uint32_t j = 0; j < r; ++j)
         if (rng.chance(param.density)) {
-          const auto w = param.paper_weights
-                             ? (rng.chance(0.3) ? 3 : 1)
-                             : static_cast<minim::matching::Weight>(1 + rng.below(9));
-          g.add_edge(i, j, w);
+          const auto w = param.paper_weights ? (rng.chance(0.3) ? 3 : 1)
+                                             : static_cast<Weight>(1 + rng.below(9));
+          edges.push_back(Edge{i, j, w});
         }
+    return edges;
+  }
+
+  static std::uint64_t seed_of(const RandomInstanceParams& param) {
+    return 1000 + param.max_left * 31 + param.max_right * 7 +
+           static_cast<std::uint64_t>(param.density * 100);
+  }
+};
+
+TEST_P(HungarianOracleTest, MatchesBruteForceWeight) {
+  const auto param = GetParam();
+  Rng rng(seed_of(param));
+  for (int trial = 0; trial < 150; ++trial) {
+    std::uint32_t l = 0;
+    std::uint32_t r = 0;
+    const std::vector<Edge> edges = random_edges(param, rng, l, r);
+    const BipartiteGraph g = graph_of(l, r, edges);
     const auto exact = max_weight_matching(g);
     const auto oracle = brute_force_max_weight_matching(g);
     ASSERT_TRUE(is_valid_matching(g, exact));
     ASSERT_EQ(exact.total_weight, oracle.total_weight)
         << "trial " << trial << " l=" << l << " r=" << r;
+    // Not just an optimum: the reference's optimum, cell for cell.
+    ASSERT_EQ(exact.left_to_right, reference_hungarian(l, r, edges).left_to_right)
+        << "trial " << trial << " l=" << l << " r=" << r;
+  }
+}
+
+TEST_P(HungarianOracleTest, DenseRowsIgnoreInsertionOrder) {
+  // The same instances with edges added in descending and in shuffled order:
+  // every matcher walks the dense rows in ascending right order, whatever
+  // order the edges arrived in.
+  const auto param = GetParam();
+  Rng rng(seed_of(param) + 1);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::uint32_t l = 0;
+    std::uint32_t r = 0;
+    const std::vector<Edge> ascending = random_edges(param, rng, l, r);
+    std::vector<Edge> descending(ascending.rbegin(), ascending.rend());
+    std::vector<Edge> shuffled = ascending;
+    for (std::size_t k = shuffled.size(); k > 1; --k)
+      std::swap(shuffled[k - 1], shuffled[rng.below(k)]);
+
+    const MatchingResult hungarian = reference_hungarian(l, r, ascending);
+    const MatchingResult greedy = reference_greedy(l, r, ascending);
+    const MatchingResult oracle = brute_force_max_weight_matching(graph_of(l, r, ascending));
+    std::vector<Edge> unit = ascending;
+    for (auto& e : unit) e.weight = 1;
+    const std::size_t max_cardinality = reference_hungarian(l, r, unit).cardinality();
+    for (const auto* order : {&descending, &shuffled}) {
+      const BipartiteGraph g = graph_of(l, r, *order);
+      ASSERT_EQ(g.edge_count(), ascending.size());
+      ASSERT_EQ(max_weight_matching(g).left_to_right, hungarian.left_to_right)
+          << "trial " << trial;
+      ASSERT_EQ(greedy_matching(g).left_to_right, greedy.left_to_right) << "trial " << trial;
+      const auto brute = brute_force_max_weight_matching(g);
+      ASSERT_TRUE(is_valid_matching(g, brute));
+      ASSERT_EQ(brute.left_to_right, oracle.left_to_right) << "trial " << trial;
+      const auto hk = max_cardinality_matching(g);
+      ASSERT_TRUE(is_valid_matching(g, hk));
+      ASSERT_EQ(hk.cardinality(), max_cardinality) << "trial " << trial;
+    }
   }
 }
 
