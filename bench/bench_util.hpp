@@ -13,16 +13,22 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -82,6 +88,41 @@ inline MemoryProfile memory_profile(const net::AdhocNetwork& network) {
   return profile;
 }
 
+/// A stage's peak-RSS ceiling in MB, keyed by the stage name
+/// `bench_large_n` prints ("bench.large_n.clustered.10000.churn").
+struct RssBound {
+  std::string_view stage;
+  double max_mb;
+};
+
+/// One stage's peak RSS and the bound it is held to.
+struct RssRow {
+  std::string stage;
+  double rss_mb = 0.0;
+  std::optional<double> bound_mb;  ///< empty: no bound names this stage
+  bool over() const { return bound_mb && rss_mb > *bound_mb; }
+};
+
+/// The bound `bounds` sets for `stage`, if any.
+inline std::optional<double> rss_bound_for(std::span<const RssBound> bounds,
+                                            std::string_view stage) {
+  for (const RssBound& bound : bounds)
+    if (bound.stage == stage) return bound.max_mb;
+  return std::nullopt;
+}
+
+/// The RSS gate's verdict: at least one stage had a bound and none exceeded
+/// it.  A stage without a bound is neither a pass nor a failure; its row
+/// says so, and a run in which no stage had a bound fails.
+inline bool rss_gate_passes(std::span<const RssRow> rows) {
+  bool checked = false;
+  for (const RssRow& row : rows) {
+    if (row.over()) return false;
+    checked = checked || row.bound_mb.has_value();
+  }
+  return checked;
+}
+
 /// Splits a comma-separated value on commas, dropping empty fields.
 inline std::vector<std::string> split_list(const std::string& raw) {
   std::vector<std::string> fields;
@@ -106,14 +147,62 @@ inline std::vector<std::string> string_list_from(const util::Options& options,
   return raw.empty() ? fallback : split_list(raw);
 }
 
-/// Parses a comma-separated list option ("--ns=40,60,80") into doubles.
+/// What one numeric flag field may hold.  The defaults admit any finite
+/// number.
+struct NumberRange {
+  double min = std::numeric_limits<double>::lowest();
+  double max = std::numeric_limits<double>::max();
+  bool whole = false;  ///< integers only
+};
+
+/// Parses one numeric flag field: the whole text must be a finite number in
+/// [range.min, range.max], and an integer when `range.whole`.  Empty for
+/// anything else, so a typo never becomes a truncated value or a negative
+/// one cast to std::size_t.
+inline std::optional<double> parse_number(const std::string& text,
+                                          const NumberRange& range) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front())))
+    return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || errno == ERANGE ||
+      !std::isfinite(value) || value < range.min || value > range.max ||
+      (range.whole && value != std::floor(value)))
+    return std::nullopt;
+  return value;
+}
+
+/// `parse_number` at the CLI boundary: names the flag and exits 2 on a bad
+/// field.
+inline double number_or_exit(const std::string& key, const std::string& text,
+                             const NumberRange& range) {
+  const std::optional<double> value = parse_number(text, range);
+  if (!value) {
+    std::ostringstream want;
+    want.precision(15);
+    want << (range.whole ? "a whole number" : "a finite number");
+    if (range.min != NumberRange{}.min || range.max != NumberRange{}.max)
+      want << " in [" << range.min << ", " << range.max << "]";
+    std::cerr << "--" << key << ": '" << text << "' is not " << want.str()
+              << "\n";
+    std::exit(2);
+  }
+  return *value;
+}
+
+/// Parses a comma-separated numeric list option ("--ns=40,60,80"); returns
+/// `fallback` when the option is absent and exits 2 on any field outside
+/// `range`.
 inline std::vector<double> double_list_from(const util::Options& options,
                                             const std::string& key,
-                                            std::vector<double> fallback) {
+                                            std::vector<double> fallback,
+                                            const NumberRange& range = {}) {
   const std::string raw = options.get(key, "");
   if (raw.empty()) return fallback;
   std::vector<double> values;
-  for (const std::string& field : split_list(raw)) values.push_back(std::stod(field));
+  for (const std::string& field : split_list(raw))
+    values.push_back(number_or_exit(key, field, range));
   return values;
 }
 
@@ -230,7 +319,7 @@ inline const std::vector<std::string>& orchestrate_keys() {
 /// one of these would fight the driver over files/stdout.
 inline const std::vector<std::string>& driver_output_keys() {
   static const std::vector<std::string> keys{
-      "csv-dir", "save-experiment", "serial-check", "out", "threads"};
+      "csv-dir", "save-experiment", "serial-check", "threads"};
   return keys;
 }
 

@@ -3,17 +3,13 @@
 // increasing size, asserting byte-identical merged CSVs at every agent
 // count and measuring aggregate throughput in work units per second.
 //
-// This is the `bench.fleet.*` measurement family: unlike the figure
-// sweeps (which measure the simulation), this harness measures the
-// orchestration substrate itself — dispatch latency hiding, capacity
-// weighting, and the cost of the shard round-trip.  Units/s lands in
-// `events_per_s` so the shared trajectory gate treats a collapse as a
-// regression; names carry the agent count ("@a3") so resized fleets skip
-// rather than compare (bench::check_measurements).
+// Unlike the figure sweeps (which measure the simulation), this harness
+// measures the orchestration substrate itself — dispatch latency hiding,
+// capacity weighting, and the cost of the shard round-trip.
 //
 // Modes / options:
-//   --agents=LIST     fleet sizes to run (default 1,3; always includes 1 so
-//                     the scaling baseline exists)
+//   --agents=LIST     fleet sizes to run (default 1,3; each in [1, 64]; the
+//                     first is the scaling baseline)
 //   --capacity=C      advertised capacity of every self-spawned agent
 //                     (default 1)
 //   --units=M         work units to plan (default 12)
@@ -23,9 +19,6 @@
 //                     drops its connection after K results (the merged CSV
 //                     must still match the golden bytes)
 //   --smoke           CI-sized run (fewer trials and units)
-//   --check=FILE      compare units/s against the committed trajectory
-//   --check-factor=F  allowed slowdown for --check (default 3)
-//   --append --label=NAME --out=FILE    append a trajectory entry
 //
 // The binary doubles as the fleet worker agent (--worker-agent=HOST:PORT)
 // and as the per-unit worker (--run-unit=...), exactly like every other
@@ -34,15 +27,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "../bench/bench_util.hpp"
-#include "../bench/trajectory.hpp"
 #include "sim/experiment.hpp"
 #include "sim/experiment_io.hpp"
 #include "sim/orchestrator.hpp"
@@ -71,13 +61,14 @@ struct FleetConfig {
 FleetConfig config_from(const util::Options& options) {
   const bool smoke = options.get_bool("smoke", false);
   FleetConfig config;
-  config.ns = bench::double_list_from(options, "ns", {20, 30});
+  config.ns = bench::double_list_from(options, "ns", {20, 30}, {1, 1e6, true});
   config.factors = bench::double_list_from(options, "factors", {2.0, 3.0});
   config.strategies =
       bench::string_list_from(options, "strategies", {"minim", "cp"});
-  config.agents = bench::double_list_from(options, "agents",
-                                          smoke ? std::vector<double>{1, 2}
-                                                : std::vector<double>{1, 3});
+  config.agents = bench::double_list_from(
+      options, "agents",
+      smoke ? std::vector<double>{1, 2} : std::vector<double>{1, 3},
+      {1, 64, true});
   config.capacity = static_cast<std::uint32_t>(
       std::max<long long>(1, options.get_int("capacity", 1)));
   config.units = static_cast<std::size_t>(
@@ -229,13 +220,6 @@ int main(int argc, char** argv) {
   const sim::Experiment experiment = make_experiment(config);
   if (bench::run_worker_unit(options, experiment, config.run, kTag)) return 0;
 
-  const std::string out_path = options.get("out", "BENCH_sweep.json");
-  const bool check = options.has("check");
-  const std::string check_path = options.get("check", out_path);
-  const double check_factor = options.get_double("check-factor", 3.0);
-  std::vector<bench::TrajectoryEntry> trajectory =
-      bench::load_trajectory(check ? check_path : out_path);
-
   std::cout << "Fleet study: " << experiment.points().size() << " grid points"
             << " x " << config.run.trials << " trials, " << config.units
             << " units, capacity " << config.capacity << " per agent\n";
@@ -251,7 +235,6 @@ int main(int argc, char** argv) {
   std::vector<FleetRun> runs;
   for (double raw : config.agents) {
     const auto agents = static_cast<std::size_t>(raw);
-    if (agents == 0) continue;
     runs.push_back(run_fleet(config, experiment, golden, agents));
     const FleetRun& run = runs.back();
     std::cout << "  fleet of " << agents << ": "
@@ -277,62 +260,5 @@ int main(int argc, char** argv) {
                        : "-"});
   std::cout << table.render() << "\n";
 
-  std::vector<bench::Measurement> measurements;
-  for (const FleetRun& run : runs) {
-    bench::Measurement m;
-    m.name = "bench.fleet.grid@a" + std::to_string(run.agents);
-    m.wall_s = run.wall_s;
-    m.events_per_s = units_per_s(run);
-    measurements.push_back(std::move(m));
-  }
-
-  if (check) {
-    std::cout << "checking against " << check_path << " (factor "
-              << util::fmt_fixed(check_factor, 2) << ")\n";
-    const bench::CheckResult outcome =
-        bench::check_measurements(trajectory, measurements, check_factor);
-    if (outcome.compared == 0 && outcome.skipped == 0)
-      std::cout << "fleet check: FAIL (no measurement had a baseline)\n";
-    else
-      std::cout << (outcome.pass() ? "fleet check: PASS\n"
-                                   : "fleet check: FAIL\n");
-    return outcome.pass() ? 0 : 1;
-  }
-
-  if (!options.get_bool("append", false)) return 0;
-
-  if (trajectory.empty() && !bench::read_file(out_path).empty()) {
-    std::cerr << out_path
-              << " exists but is not a recognizable trajectory; refusing to "
-                 "overwrite\n";
-    return 1;
-  }
-
-  bench::TrajectoryEntry entry;
-  entry.label = options.get("label", "fleet");
-  std::ostringstream json;
-  json << "{\"trials\": " << config.run.trials
-       << ", \"units\": " << config.units << ", \"seed\": " << config.run.seed
-       << ", \"capacity\": " << config.capacity << ", \"agents\": [";
-  for (std::size_t i = 0; i < runs.size(); ++i)
-    json << (i ? ", " : "") << runs[i].agents;
-  json << "]";
-  // Mark single-core recordings so throughput gates on differently-sized
-  // machines skip them (bench::check_measurements).
-  if (std::thread::hardware_concurrency() <= 1)
-    json << ", \"single_core\": true";
-  json << "}";
-  entry.config_json = json.str();
-  entry.benchmarks = measurements;
-  trajectory.push_back(std::move(entry));
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << " for writing\n";
-    return 1;
-  }
-  bench::write_trajectory(out, trajectory);
-  std::cout << "[json] wrote " << out_path << " (" << trajectory.size()
-            << " entries)\n";
   return 0;
 }

@@ -44,7 +44,8 @@ struct StudyConfig {
 
 StudyConfig config_from(const util::Options& options) {
   StudyConfig config;
-  config.ns = bench::double_list_from(options, "ns", {40, 60, 80, 100});
+  config.ns =
+      bench::double_list_from(options, "ns", {40, 60, 80, 100}, {1, 1e6, true});
   config.factors =
       bench::double_list_from(options, "factors", {1.5, 2.5, 3.5, 4.5, 5.5});
   config.strategies =

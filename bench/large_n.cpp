@@ -12,49 +12,41 @@
 //
 // Modes:
 //   default            run --ns stages and print the table
-//   --append           also append a labeled entry (one measurement per
-//                      stage, "bench.large_n.<placement>.<n>") to --out
 //   --smoke            single capped stage (--smoke-n, default 10000) — the
 //                      CI-sized run
-//   --check-rss[=F]    compare each stage's peak RSS against the most
-//                      recent trajectory entry covering it; exit 1 when any
-//                      exceeds baseline * --rss-factor.  The CI memory gate
-//                      (Release only, alongside perf_trajectory --check).
-//   --check[=F]        wall-clock regression gate over the same measurement
-//                      names (churn stages included): exit 1 when any stage
-//                      exceeds its baseline * --check-factor.  Advisory in
-//                      CI, like perf_trajectory --check.
+//   --check-rss        compare each stage's peak RSS with its bound in
+//                      kRssBounds below; exit 1 when any stage exceeds its
+//                      bound, or when no stage had one.  Stages without a
+//                      bound are listed, not checked.  The blocking CI
+//                      memory gate (Release only).
 //   --churn            after each join stage, run a continuous-time
 //                      leave/move/power churn phase *on* the n-node network
 //                      (sim::run_churn seeded with `initial_nodes = n`,
 //                      arrival rate balancing the mean lifetime so the
 //                      population holds near n) — the scenario family beyond
 //                      join-only, at the same constant-density placement.
-//                      Churn measurements append as
+//                      Churn stages are named
 //                      "bench.large_n.<placement>.<n>.churn".  The churn
 //                      table's prop/evt column reports BBB's per-event
 //                      propagation work (processed + full ranks over
 //                      events) — the number that must stay flat in n for
 //                      rank-bounded recoloring ("-" for other strategies).
 //   --check-population[=T]  after churn stages, require every stage's final
-//                      population within T·n of n (default 0.25) and its
-//                      final assignment valid; exit 1 otherwise.  The CTest
-//                      churn smoke runs this.
+//                      population within T·n of n (T in [0, 1], default
+//                      0.25) and its final assignment valid; exit 1
+//                      otherwise.  The CTest churn smoke runs this.
 //
 // Options:
 //   --ns=...           stage sizes (default 1000,10000,100000)
 //   --strategy=LIST    comma-separated recoding strategies (default minim;
 //                      "bbb-bounded" is the rank-bounded BBB — plain "bbb"
 //                      recolors O(V+E) per event and is not a large-N
-//                      citizen).  "minim" keeps the historical unsuffixed
-//                      measurement names; every other strategy suffixes
-//                      ".<strategy>", so baselines never mix strategies.
+//                      citizen).  "minim" keeps the unsuffixed stage names;
+//                      every other strategy suffixes ".<strategy>", so
+//                      bounds never mix strategies.
 //   --placement=P      uniform | clustered | poisson-disk (default clustered)
 //   --mean-degree=D    target mean out-degree (default 12)
 //   --seed=S           master seed (default 2001)
-//   --label=NAME       entry label for --append (default "large-n")
-//   --out=FILE         trajectory path (default BENCH_sweep.json)
-//   --rss-factor=X     allowed RSS growth factor for --check-rss (default 1.5)
 //   --churn-duration=D churn horizon (default 60 time units)
 //   --churn-lifetime=L mean node lifetime (default 600; ~D/L of the
 //                      population leaves and is replaced during the phase)
@@ -62,13 +54,12 @@
 //   --churn-power-rate=P   per-node power-toggle rate (default 0.002)
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "../bench/bench_util.hpp"
-#include "../bench/trajectory.hpp"
 #include "sim/churn.hpp"
 #include "sim/replay.hpp"
 #include "sim/simulation.hpp"
@@ -83,21 +74,30 @@ namespace {
 
 using namespace minim;
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    if (comma > start) out.push_back(csv.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
+/// Accepted stage sizes for --ns and --smoke-n.
+constexpr bench::NumberRange kStageN{1, 1e7, true};
 
-/// Measurement-name suffix for a strategy.  "minim" owns the historical
-/// unsuffixed names; everyone else appends ".<strategy>" so baselines for
-/// different strategies never collide.
+/// Peak-RSS bounds of the CI memory gate, one per stage name the two CI
+/// invocations produce (`--smoke`, and `--smoke --churn
+/// --strategy=minim,bbb-bounded`).  Each is 1.5x the highest peak of 11
+/// smoke runs on a 4-vCPU Linux host (GCC 12, Release; 23.3, 31.5, 37.0
+/// and 37.0 MB), except the first, which stays at the 34.8 MB the gate
+/// allowed before.  VmHWM never falls, so a later stage's peak includes
+/// every earlier stage's.
+constexpr double kJoinRssMb = 34.8;
+constexpr double kJoinBbbBoundedRssMb = 47.3;
+constexpr double kChurnRssMb = 55.5;
+constexpr double kChurnBbbBoundedRssMb = 55.5;
+constexpr bench::RssBound kRssBounds[] = {
+    {"bench.large_n.clustered.10000", kJoinRssMb},
+    {"bench.large_n.clustered.10000.bbb-bounded", kJoinBbbBoundedRssMb},
+    {"bench.large_n.clustered.10000.churn", kChurnRssMb},
+    {"bench.large_n.clustered.10000.churn.bbb-bounded", kChurnBbbBoundedRssMb},
+};
+
+/// Stage-name suffix for a strategy.  "minim" owns the unsuffixed names;
+/// everyone else appends ".<strategy>" so bounds for different strategies
+/// never collide.
 std::string strategy_suffix(const std::string& strategy) {
   return strategy == "minim" ? "" : "." + strategy;
 }
@@ -130,8 +130,8 @@ StageResult run_stage(std::size_t n, sim::Placement placement, double mean_degre
   const sim::WorkloadParams params =
       sim::make_large_n_params(n, mean_degree, placement);
   // Stream keyed by n (not stage index): a --smoke run of one stage
-  // reproduces exactly the workload the full run used for that n, so RSS
-  // baselines compare like for like.
+  // reproduces exactly the workload the full run used for that n, so its
+  // numbers compare like for like.
   util::Rng rng = util::Rng::for_stream(seed, n);
   const auto gen_start = clock::now();
   const sim::Workload workload = sim::make_join_workload(params, rng);
@@ -255,11 +255,12 @@ int main(int argc, char** argv) {
   const util::Options options(argc, argv);
   const bool smoke = options.get_bool("smoke", false);
   std::vector<double> ns =
-      bench::double_list_from(options, "ns", {1000, 10000, 100000});
+      bench::double_list_from(options, "ns", {1000, 10000, 100000}, kStageN);
   if (smoke)
-    ns = {static_cast<double>(options.get_int("smoke-n", 10000))};
+    ns = {bench::number_or_exit("smoke-n", options.get("smoke-n", "10000"),
+                                kStageN)};
   const std::vector<std::string> strategy_list =
-      split_list(options.get("strategy", "minim"));
+      bench::string_list_from(options, "strategy", {"minim"});
   if (strategy_list.empty()) {
     std::cerr << "--strategy: empty strategy list\n";
     return 2;
@@ -268,47 +269,20 @@ int main(int argc, char** argv) {
       placement_from(options.get("placement", "clustered"));
   const double mean_degree = options.get_double("mean-degree", 12.0);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
-  const std::string out_path = options.get("out", "BENCH_sweep.json");
-  const bool append = options.get_bool("append", false);
-  const bool check_rss = options.has("check-rss");
-  const std::string check_path =
-      options.get("check-rss", "") == "true" || options.get("check-rss", "").empty()
-          ? out_path
-          : options.get("check-rss", out_path);
-  const double rss_factor = options.get_double("rss-factor", 1.5);
-  const bool check_wall = options.has("check");
-  const std::string check_wall_raw = options.get("check", "");
-  const std::string check_wall_path =
-      check_wall_raw == "true" || check_wall_raw.empty() ? out_path
-                                                         : check_wall_raw;
-  const double check_factor = options.get_double("check-factor", 1.5);
+  const bool check_rss = options.get_bool("check-rss", false);
   const bool check_population = options.has("check-population");
   const std::string population_raw = options.get("check-population", "");
   const double population_tolerance =
       population_raw == "true" || population_raw.empty()
           ? 0.25
-          : std::strtod(population_raw.c_str(), nullptr);
+          : bench::number_or_exit("check-population", population_raw,
+                                  {0.0, 1.0});
   ChurnStageConfig churn_config;
   churn_config.enabled = options.get_bool("churn", false);
   churn_config.duration = options.get_double("churn-duration", 60.0);
   churn_config.mean_lifetime = options.get_double("churn-lifetime", 600.0);
   churn_config.move_rate = options.get_double("churn-move-rate", 0.004);
   churn_config.power_rate = options.get_double("churn-power-rate", 0.002);
-
-  std::vector<bench::TrajectoryEntry> trajectory = bench::load_trajectory(
-      check_rss ? check_path : (check_wall ? check_wall_path : out_path));
-  if ((check_rss || check_wall) && trajectory.empty()) {
-    std::cerr << (check_rss ? "--check-rss" : "--check")
-              << ": no baseline entries in "
-              << (check_rss ? check_path : check_wall_path) << "\n";
-    return 1;
-  }
-  if (append && trajectory.empty() && !bench::read_file(out_path).empty()) {
-    std::cerr << out_path
-              << " exists but is not a recognizable trajectory; refusing to "
-                 "overwrite it\n";
-    return 1;
-  }
 
   std::cout << "=== Large-N join hot path (strategies=";
   for (std::size_t i = 0; i < strategy_list.size(); ++i)
@@ -319,7 +293,13 @@ int main(int argc, char** argv) {
   util::TextTable table("stages");
   table.set_header({"strategy", "n", "gen s", "join s", "events/s",
                     "bytes/node", "peak RSS MB", "max color"});
-  std::vector<bench::Measurement> measurements;
+  std::vector<bench::RssRow> rss_rows;
+  const auto record_rss = [&rss_rows](std::string stage, double rss_mb) {
+    std::optional<double> bound = bench::rss_bound_for(kRssBounds, stage);
+    rss_rows.push_back({std::move(stage), rss_mb, bound});
+  };
+  const std::string stage_prefix =
+      "bench.large_n." + std::string(sim::to_string(placement)) + ".";
   for (const std::string& strategy : strategy_list) {
     for (const double stage_n : ns) {
       const auto n = static_cast<std::size_t>(stage_n);
@@ -332,13 +312,8 @@ int main(int argc, char** argv) {
                      util::fmt_fixed(stage.bytes_per_node, 1),
                      util::fmt_fixed(stage.peak_rss_mb, 1),
                      std::to_string(stage.max_color)});
-      bench::Measurement m;
-      m.name = "bench.large_n." + std::string(sim::to_string(placement)) +
-               "." + std::to_string(stage.n) + strategy_suffix(strategy);
-      m.wall_s = stage.join_s;
-      m.peak_rss_mb = stage.peak_rss_mb;
-      m.bytes_per_node = stage.bytes_per_node;
-      measurements.push_back(std::move(m));
+      record_rss(stage_prefix + std::to_string(n) + strategy_suffix(strategy),
+                 stage.peak_rss_mb);
     }
   }
   std::cout << table.render() << "\n";
@@ -384,13 +359,9 @@ int main(int argc, char** argv) {
                       << "\n";
           }
         }
-        bench::Measurement m;
-        m.name = "bench.large_n." + std::string(sim::to_string(placement)) +
-                 "." + std::to_string(stage.n) + ".churn" +
-                 strategy_suffix(strategy);
-        m.wall_s = stage.wall_s;
-        m.peak_rss_mb = stage.peak_rss_mb;
-        measurements.push_back(std::move(m));
+        record_rss(stage_prefix + std::to_string(n) + ".churn" +
+                       strategy_suffix(strategy),
+                   stage.peak_rss_mb);
       }
     }
     std::cout << churn_table.render() << "\n";
@@ -401,93 +372,18 @@ int main(int argc, char** argv) {
     if (!population_ok) return 1;
   }
 
-  if (check_rss) {
-    bool ok = true;
-    std::size_t compared = 0;
-    for (const bench::Measurement& m : measurements) {
-      const bench::TrajectoryEntry* entry =
-          bench::baseline_for(trajectory, m.name);
-      if (entry == nullptr) {
-        std::cout << "  " << m.name << ": no RSS baseline (skipped)\n";
-        continue;
-      }
-      double baseline = 0.0;
-      for (const bench::Measurement& b : entry->benchmarks)
-        if (b.name == m.name) baseline = b.peak_rss_mb;
-      if (baseline <= 0.0) {
-        std::cout << "  " << m.name << ": baseline has no RSS (skipped)\n";
-        continue;
-      }
-      ++compared;
-      const bool regressed = m.peak_rss_mb > baseline * rss_factor;
-      std::cout << "  " << m.name << ": " << util::fmt_fixed(m.peak_rss_mb, 1)
-                << " MB vs baseline \"" << entry->label << "\" "
-                << util::fmt_fixed(baseline, 1) << " MB"
-                << (regressed ? "  REGRESSION" : "") << "\n";
-      ok = ok && !regressed;
-    }
-    // Refuse a vacuous pass: a stage/placement absent from the trajectory
-    // must be recorded (--append), not waved through.
-    if (compared == 0) {
-      std::cout << "rss check: FAIL (no stage had an RSS baseline)\n";
-      return 1;
-    }
-    std::cout << (ok ? "rss check: PASS\n" : "rss check: FAIL\n");
-    return ok ? 0 : 1;
+  if (!check_rss) return 0;
+  for (const bench::RssRow& row : rss_rows) {
+    std::cout << "  " << row.stage << ": " << util::fmt_fixed(row.rss_mb, 1)
+              << " MB";
+    if (row.bound_mb)
+      std::cout << " vs bound " << util::fmt_fixed(*row.bound_mb, 1) << " MB"
+                << (row.over() ? "  OVER" : "");
+    else
+      std::cout << ": no bound (not checked)";
+    std::cout << "\n";
   }
-
-  if (check_wall) {
-    std::cout << "checking wall clocks against " << check_wall_path
-              << " (factor " << util::fmt_fixed(check_factor, 2) << ")\n";
-    bool ok = true;
-    std::size_t compared = 0;
-    for (const bench::Measurement& m : measurements) {
-      const bench::TrajectoryEntry* entry =
-          bench::baseline_for(trajectory, m.name);
-      if (entry == nullptr) {
-        std::cout << "  " << m.name << ": no baseline (skipped)\n";
-        continue;
-      }
-      double baseline = 0.0;
-      for (const bench::Measurement& b : entry->benchmarks)
-        if (b.name == m.name) baseline = b.wall_s;
-      ++compared;
-      const bool regressed = m.wall_s > baseline * check_factor;
-      std::cout << "  " << m.name << ": " << util::fmt_fixed(m.wall_s, 2)
-                << " s vs baseline \"" << entry->label << "\" "
-                << util::fmt_fixed(baseline, 2) << " s"
-                << (regressed ? "  REGRESSION" : "") << "\n";
-      ok = ok && !regressed;
-    }
-    if (compared == 0) {
-      std::cout << "wall check: FAIL (no stage had a baseline)\n";
-      return 1;
-    }
-    std::cout << (ok ? "wall check: PASS\n" : "wall check: FAIL\n");
-    return ok ? 0 : 1;
-  }
-
-  if (append) {
-    std::ostringstream config;
-    config << "{\"strategy\": \"";
-    for (std::size_t i = 0; i < strategy_list.size(); ++i)
-      config << (i ? "," : "") << strategy_list[i];
-    config << "\", \"placement\": \"" << sim::to_string(placement)
-           << "\", \"mean_degree\": " << util::fmt_fixed(mean_degree, 1)
-           << ", \"seed\": " << seed << "}";
-    bench::TrajectoryEntry entry;
-    entry.label = options.get("label", "large-n");
-    entry.config_json = config.str();
-    entry.benchmarks = measurements;
-    trajectory.push_back(std::move(entry));
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << " for writing\n";
-      return 1;
-    }
-    bench::write_trajectory(out, trajectory);
-    std::cout << "[json] wrote " << out_path << " (" << trajectory.size()
-              << " entries)\n";
-  }
-  return 0;
+  const bool ok = bench::rss_gate_passes(rss_rows);
+  std::cout << "rss check: " << (ok ? "PASS" : "FAIL") << "\n";
+  return ok ? 0 : 1;
 }

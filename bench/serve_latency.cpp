@@ -14,19 +14,16 @@
 //                a whole neighborhood through recoloring, so its p99.9 is
 //                the latency class a bounded strategy exists to cap.
 //
-// The batch sweep (the batching tentpole's committed evidence) replays the
-// IDENTICAL steady and storm workloads through `apply_batch` at each
-// --batch-sizes size: one coalesced repair per batch for batch-capable
-// strategies, so events/s rises with the batch size until the per-batch
-// propagation cost dominates.  Batch size 1 is the pipelining-free control.
+// The batch sweep replays the IDENTICAL steady and storm workloads through
+// `apply_batch` at each --batch-sizes size: one coalesced repair per batch
+// for batch-capable strategies, so events/s rises with the batch size until
+// the per-batch propagation cost dominates.  Batch size 1 is the
+// pipelining-free control.
 //
 // The threads sweep crosses the batch sweep with --recolor-threads: each
 // bbb-* cell re-runs with component-parallel bounded recoloring
 // (engine Params::recolor_threads), which is bit-identical to serial, so
-// any events/s delta is pure scheduling.  threads=1 keeps the established
-// measurement names (comparable against pre-parallel baselines); threads>1
-// cells append "@tN", the scaling-name convention check_measurements
-// skips against single-core baselines.  Strategies without the knob only
+// any events/s delta is pure scheduling.  Strategies without the knob only
 // run the serial column.
 //
 // The event sequence is generated from --seed alone (never from engine
@@ -38,40 +35,26 @@
 //   --events=N          steady-churn events (default 20000; 2000 with --smoke)
 //   --target-live=N     steady-state population (default 300; 80 with --smoke)
 //   --storm-rounds=N    power-raise storms (default 200; 20 with --smoke)
-//   --batch-sizes=...   batch sweep sizes (default 1,8,64,512)
+//   --batch-sizes=...   batch sweep sizes (default 1,8,64,512; each a whole
+//                       number in [1, 65536])
 //   --recolor-threads=... recolor thread counts for the batch sweep
 //                       (default 1; e.g. 1,2,4; 0 = hardware cores; at
 //                       most 256)
 //   --seed=S            workload seed (default 2001)
 //   --smoke             CI-sized defaults for everything above
-//   --append            append a labeled entry to the trajectory
-//   --label=NAME        entry label for --append (default "serve-latency")
-//   --out=FILE          trajectory path (default BENCH_sweep.json)
-//   --check[=FILE]      regression-gate mode: compare this run's
-//                       measurements against the most recent covering
-//                       entries (default file: --out) and exit 1 on
-//                       regression; nothing is written.  Throughput
-//                       (events_per_s) gates at baseline/factor, wall
-//                       clocks at baseline*factor (bench/trajectory.hpp).
-//   --check-factor=X    allowed degradation factor (default 1.5)
 //
-// Appended measurements (bench.serve.*) carry the optional latency fields
-// of trajectory.hpp: p50_us/p99_us/p999_us per event type, events_per_s on
-// the throughput and batch-sweep records.
+// Speed is tracked by the repository benchmark (perfbench/run.py and
+// perfbench/compare.py); this harness prints its tables for a human reader.
 
 #include <array>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <span>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "../bench/bench_util.hpp"
-#include "../bench/trajectory.hpp"
 #include "serve/engine.hpp"
 #include "sim/trace.hpp"
 #include "util/latency_histogram.hpp"
@@ -84,6 +67,9 @@ namespace {
 using namespace minim;
 using Kind = sim::TraceEvent::Kind;
 using Clock = std::chrono::steady_clock;
+
+/// Accepted --batch-sizes values.
+constexpr bench::NumberRange kBatchSize{1, 65536, true};
 
 /// Deterministic churn-trace generator.  Draws only on its own state (RNG +
 /// live set + per-node ranges), so the same seed yields the same event
@@ -230,13 +216,6 @@ struct BatchRun {
   double storm_wall_s = 0.0;
   std::size_t storm_events = 0;
   std::size_t coalesced_batches = 0;  ///< batches repaired in one pass
-
-  /// "@tN" scaling suffix on threads>1 names: check_measurements skips those
-  /// against single-core baselines, and threads=1 keeps the pre-parallel
-  /// measurement names so existing baselines keep gating the serial path.
-  std::string name_suffix() const {
-    return threads == 1 ? "" : "@t" + std::to_string(threads);
-  }
 };
 
 /// Applies `trace` in `batch`-sized chunks; returns the wall clock.
@@ -295,33 +274,14 @@ int main(int argc, char** argv) {
       options.get_int("storm-rounds", smoke ? 20 : 200));
   const std::vector<std::string> strategies =
       bench::string_list_from(options, "strategies", {"minim", "bbb-bounded"});
-  const std::vector<double> batch_size_list =
-      bench::double_list_from(options, "batch-sizes", {1, 8, 64, 512});
   std::vector<std::size_t> batch_sizes;
-  for (const double b : batch_size_list)
-    batch_sizes.push_back(std::max<std::size_t>(1, static_cast<std::size_t>(b)));
+  for (const double b : bench::double_list_from(options, "batch-sizes",
+                                                {1, 8, 64, 512}, kBatchSize))
+    batch_sizes.push_back(static_cast<std::size_t>(b));
   std::vector<std::size_t> recolor_threads;
   for (const std::string& raw :
        bench::string_list_from(options, "recolor-threads", {"1"}))
     recolor_threads.push_back(bench::recolor_threads_or_exit(raw));
-
-  const bool check = options.has("check");
-  const std::string out_path = options.get("out", "BENCH_sweep.json");
-  const std::string check_path =
-      options.get("check", "") == "true" || options.get("check", "").empty()
-          ? out_path
-          : options.get("check", out_path);
-  const double check_factor = options.get_double("check-factor", 1.5);
-
-  // Resolve the trajectory up front: a missing baseline in check mode (or
-  // an unparseable --out in append mode) must fail before minutes of
-  // measurement.
-  std::vector<bench::TrajectoryEntry> trajectory =
-      bench::load_trajectory(check ? check_path : out_path);
-  if (check && trajectory.empty()) {
-    std::cerr << "--check: no baseline entries in " << check_path << "\n";
-    return 1;
-  }
 
   std::cout << "=== serve_latency: online engine latency study ===\n"
             << "target_live " << target_live << ", steady events " << events
@@ -366,7 +326,6 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   // ------------------------------------------------- batch × threads sweep
-  std::vector<BatchRun> batch_runs;
   util::TextTable sweep("batched application sweep (same workload)");
   sweep.set_header({"strategy", "threads", "batch", "steady ev/s", "speedup",
                     "storm ev/s", "coalesced"});
@@ -389,110 +348,10 @@ int main(int argc, char** argv) {
              util::fmt_fixed(events_per_s(run.storm_events, run.storm_wall_s),
                              0),
              std::to_string(run.coalesced_batches)});
-        batch_runs.push_back(run);
       }
     }
   }
   std::cout << sweep.render() << "\n";
 
-  // --------------------------------------------- measurements (check/append)
-  std::vector<bench::Measurement> measurements;
-  for (const StrategyRun& run : runs) {
-    for (Kind kind : {Kind::kJoin, Kind::kLeave, Kind::kMove, Kind::kPower}) {
-      const util::LatencyHistogram& h =
-          run.steady[static_cast<std::size_t>(kind)];
-      if (h.count() == 0) continue;
-      bench::Measurement m;
-      m.name = std::string("bench.serve.steady.") + sim::to_string(kind) +
-               "." + run.strategy;
-      m.wall_s = h.mean() * static_cast<double>(h.count()) * 1e-9;
-      m.p50_us = h.quantile(0.50) * 1e-3;
-      m.p99_us = h.quantile(0.99) * 1e-3;
-      m.p999_us = h.quantile(0.999) * 1e-3;
-      measurements.push_back(std::move(m));
-    }
-    bench::Measurement throughput;
-    throughput.name = "bench.serve.steady.throughput." + run.strategy;
-    throughput.wall_s = run.steady_wall_s;
-    throughput.events_per_s =
-        events_per_s(run.steady_events, run.steady_wall_s);
-    measurements.push_back(std::move(throughput));
-
-    bench::Measurement storm;
-    storm.name = "bench.serve.storm.power." + run.strategy;
-    storm.wall_s =
-        run.storm.mean() * static_cast<double>(run.storm.count()) * 1e-9;
-    storm.p50_us = run.storm.quantile(0.50) * 1e-3;
-    storm.p99_us = run.storm.quantile(0.99) * 1e-3;
-    storm.p999_us = run.storm.quantile(0.999) * 1e-3;
-    measurements.push_back(std::move(storm));
-  }
-  for (const BatchRun& run : batch_runs) {
-    bench::Measurement steady;
-    steady.name = "bench.serve.batch.steady.b" + std::to_string(run.batch) +
-                  "." + run.strategy + run.name_suffix();
-    steady.wall_s = run.steady_wall_s;
-    steady.events_per_s = events_per_s(run.steady_events, run.steady_wall_s);
-    measurements.push_back(std::move(steady));
-
-    bench::Measurement storm;
-    storm.name = "bench.serve.batch.storm.b" + std::to_string(run.batch) +
-                 "." + run.strategy + run.name_suffix();
-    storm.wall_s = run.storm_wall_s;
-    storm.events_per_s = events_per_s(run.storm_events, run.storm_wall_s);
-    measurements.push_back(std::move(storm));
-  }
-
-  if (check) {
-    std::cout << "checking against " << check_path << " (factor "
-              << util::fmt_fixed(check_factor, 2) << ")\n";
-    const bench::CheckResult outcome =
-        bench::check_measurements(trajectory, measurements, check_factor);
-    if (outcome.compared == 0 && outcome.skipped == 0)
-      std::cout << "serve check: FAIL (no measurement had a baseline)\n";
-    else
-      std::cout << (outcome.pass() ? "serve check: PASS\n"
-                                   : "serve check: FAIL\n");
-    return outcome.pass() ? 0 : 1;
-  }
-
-  if (!options.get_bool("append", false)) return 0;
-
-  if (trajectory.empty() && !bench::read_file(out_path).empty()) {
-    std::cerr << out_path
-              << " exists but is not a recognizable trajectory; refusing to "
-                 "overwrite\n";
-    return 1;
-  }
-
-  bench::TrajectoryEntry entry;
-  entry.label = options.get("label", "serve-latency");
-  std::ostringstream config;
-  config << "{\"events\": " << events << ", \"target_live\": " << target_live
-         << ", \"storm_rounds\": " << storm_rounds << ", \"seed\": " << seed
-         << ", \"batch_sizes\": [";
-  for (std::size_t i = 0; i < batch_sizes.size(); ++i)
-    config << (i ? ", " : "") << batch_sizes[i];
-  config << "], \"recolor_threads\": [";
-  for (std::size_t i = 0; i < recolor_threads.size(); ++i)
-    config << (i ? ", " : "") << recolor_threads[i];
-  config << "]";
-  // Mark single-core recordings so throughput gates on differently-sized
-  // machines skip them (bench::check_measurements).
-  if (std::thread::hardware_concurrency() <= 1)
-    config << ", \"single_core\": true";
-  config << "}";
-  entry.config_json = config.str();
-  entry.benchmarks = measurements;
-  trajectory.push_back(std::move(entry));
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << " for writing\n";
-    return 1;
-  }
-  bench::write_trajectory(out, trajectory);
-  std::cout << "[json] wrote " << out_path << " (" << trajectory.size()
-            << " entries)\n";
   return 0;
 }

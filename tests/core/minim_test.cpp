@@ -40,6 +40,14 @@ struct JoinSweep {
   double max_range;
 };
 
+// Prints the fields, e.g. "seed 101 n 40 range 20.5-30.5": ctest's
+// discovered test names embed this text, and gtest's default byte dump
+// would include padding.
+void PrintTo(const JoinSweep& param, std::ostream* os) {
+  *os << "seed " << param.seed << " n " << param.n << " range "
+      << param.min_range << "-" << param.max_range;
+}
+
 class MinimJoinTheorems : public ::testing::TestWithParam<JoinSweep> {};
 
 TEST_P(MinimJoinTheorems, CorrectnessAfterEveryJoin) {

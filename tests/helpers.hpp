@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -150,3 +151,14 @@ class ExhaustiveAdversary {
 };
 
 }  // namespace minim::test
+
+namespace minim::strategies {
+
+// Prints the order's name ("smallest-last"), found by argument-dependent
+// lookup: ctest's discovered names of the order-parameterized suites embed
+// this text instead of gtest's byte dump of the enum.
+inline void PrintTo(ColoringOrder order, std::ostream* os) {
+  *os << to_string(order);
+}
+
+}  // namespace minim::strategies

@@ -152,6 +152,14 @@ struct ChurnParams {
   double max_range;
 };
 
+// Prints the fields, e.g. "seed 1 events 120 range 20.5-30.5": ctest's
+// discovered test names embed this text, and gtest's default byte dump
+// would include padding.
+void PrintTo(const ChurnParams& param, std::ostream* os) {
+  *os << "seed " << param.seed << " events " << param.events << " range "
+      << param.min_range << "-" << param.max_range;
+}
+
 class NetworkChurnTest : public ::testing::TestWithParam<ChurnParams> {};
 
 TEST_P(NetworkChurnTest, IncrementalGraphMatchesBruteForce) {

@@ -164,6 +164,18 @@ struct CpSoakParams {
   CpStrategy::Vicinity vicinity = CpStrategy::Vicinity::kTwoHopBall;
 };
 
+// Prints the fields, e.g. "seed 61 highest-first two-hop-ball": ctest's
+// discovered test names embed this text, and gtest's default byte dump
+// would include padding.
+void PrintTo(const CpSoakParams& param, std::ostream* os) {
+  *os << "seed " << param.seed
+      << (param.order == CpStrategy::Order::kHighestFirst ? " highest-first"
+                                                          : " lowest-first")
+      << (param.vicinity == CpStrategy::Vicinity::kTwoHopBall
+              ? " two-hop-ball"
+              : " exact-constraints");
+}
+
 class CpSoakTest : public ::testing::TestWithParam<CpSoakParams> {};
 
 TEST_P(CpSoakTest, MixedEventsStayValid) {
